@@ -120,7 +120,8 @@ double mean_amplitude_ratio(const csi::CsiSoa& soa, AntennaPair pair,
 
 namespace {
 
-void count_masked(const std::vector<bool>& mask) {
+template <typename Mask>
+void count_masked(const Mask& mask) {
     if (WIMI_OBS_ENABLED()) {
         const auto masked = static_cast<std::uint64_t>(
             std::count(mask.begin(), mask.end(), false));
@@ -148,20 +149,15 @@ std::vector<bool> inlier_packet_mask(const csi::CsiSeries& series,
     return mask;
 }
 
-std::vector<bool> inlier_packet_mask(const csi::CsiSoa& soa,
-                                     AntennaPair pair,
-                                     std::size_t subcarrier,
-                                     double k_sigma) {
-    std::vector<bool> mask(soa.packet_count(), true);
+void inlier_packet_mask(const csi::CsiSoa& soa, AntennaPair pair,
+                        std::size_t subcarrier, double k_sigma,
+                        std::vector<char>& inlier) {
+    inlier.assign(soa.packet_count(), 1);
     for (const std::size_t antenna : {pair.first, pair.second}) {
-        const auto amplitudes = soa.amplitude_plane(antenna, subcarrier);
-        for (const std::size_t i :
-             dsp::sigma_outlier_indices(amplitudes, k_sigma)) {
-            mask[i] = false;
-        }
+        dsp::mask_sigma_outliers(soa.amplitude_plane(antenna, subcarrier),
+                                 k_sigma, inlier);
     }
-    count_masked(mask);
-    return mask;
+    count_masked(inlier);
 }
 
 namespace {

@@ -26,6 +26,8 @@ struct AmplitudeDenoiseConfig {
     double outlier_k_sigma = 3.0;          ///< paper: the 3-sigma region
     bool remove_impulses = true;           ///< wavelet-correlation stage
     dsp::WaveletDenoiseConfig wavelet;     ///< stage-2 parameters
+
+    bool operator==(const AmplitudeDenoiseConfig&) const = default;
 };
 
 /// Cleans one amplitude time series (stages 1–2).
@@ -84,9 +86,11 @@ std::vector<bool> inlier_packet_mask(const csi::CsiSeries& series,
                                      AntennaPair pair,
                                      std::size_t subcarrier, double k_sigma);
 
-/// SoA variant of inlier_packet_mask.
-std::vector<bool> inlier_packet_mask(const csi::CsiSoa& soa,
-                                     AntennaPair pair,
-                                     std::size_t subcarrier, double k_sigma);
+/// SoA variant of inlier_packet_mask over a caller-owned mask: `inlier`
+/// is resized to soa.packet_count() and overwritten (1 = inlier), so a
+/// caller masking many cells reuses its storage.
+void inlier_packet_mask(const csi::CsiSoa& soa, AntennaPair pair,
+                        std::size_t subcarrier, double k_sigma,
+                        std::vector<char>& inlier);
 
 }  // namespace wimi::core

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
@@ -12,6 +15,33 @@
 
 namespace wimi::core {
 namespace {
+
+/// Working storage of mean_complex_ratio, owned by the caller: one
+/// extract call (or one profile build) makes a scratch and reuses it for
+/// every (subcarrier, pair) cell it evaluates.
+struct RatioScratch {
+    /// Sizes every buffer for `packets`-packet series up front, so no
+    /// cell of the call allocates, however many packets it masks out.
+    RatioScratch(std::size_t packets, const FeatureConfig& config) {
+        inlier.reserve(packets);
+        for (auto* plane : {&re1, &im1, &re2, &im2, &ratio_re, &ratio_im}) {
+            plane->reserve(packets);
+        }
+        if (config.use_amplitude_denoising &&
+            config.denoise.remove_impulses) {
+            wavelet.reserve(packets, config.denoise.wavelet.levels);
+        }
+    }
+
+    std::vector<char> inlier;
+    std::vector<double> re1;
+    std::vector<double> im1;
+    std::vector<double> re2;
+    std::vector<double> im2;
+    std::vector<double> ratio_re;
+    std::vector<double> ratio_im;
+    dsp::WaveletDenoiseScratch wavelet;
+};
 
 /// Coherent estimate of the stable antenna ratio at one subcarrier.
 ///
@@ -32,12 +62,14 @@ namespace {
 Complex mean_complex_ratio(const csi::CsiSoa& soa, AntennaPair pair,
                            std::size_t subcarrier,
                            const AmplitudeDenoiseConfig& denoise,
-                           bool use_denoising) {
+                           bool use_denoising, RatioScratch& scratch) {
     const std::size_t packets = soa.packet_count();
-    std::vector<bool> mask(packets, true);
+    std::vector<char>& mask = scratch.inlier;
     if (use_denoising) {
-        mask = inlier_packet_mask(soa, pair, subcarrier,
-                                  denoise.outlier_k_sigma);
+        inlier_packet_mask(soa, pair, subcarrier, denoise.outlier_k_sigma,
+                           mask);
+    } else {
+        mask.assign(packets, 1);
     }
     const auto re1p = soa.real_plane(pair.first, subcarrier);
     const auto im1p = soa.imag_plane(pair.first, subcarrier);
@@ -51,14 +83,14 @@ Complex mean_complex_ratio(const csi::CsiSoa& soa, AntennaPair pair,
     };
     // Compact the surviving packets into contiguous component arrays so
     // the ratio kernel runs over unit-stride spans.
-    std::vector<double> re1;
-    std::vector<double> im1;
-    std::vector<double> re2;
-    std::vector<double> im2;
-    re1.reserve(packets);
-    im1.reserve(packets);
-    re2.reserve(packets);
-    im2.reserve(packets);
+    std::vector<double>& re1 = scratch.re1;
+    std::vector<double>& im1 = scratch.im1;
+    std::vector<double>& re2 = scratch.re2;
+    std::vector<double>& im2 = scratch.im2;
+    re1.clear();
+    im1.clear();
+    re2.clear();
+    im2.clear();
     const auto gather = [&](std::size_t m) {
         re1.push_back(re1p[m]);
         im1.push_back(im1p[m]);
@@ -82,15 +114,17 @@ Complex mean_complex_ratio(const csi::CsiSoa& soa, AntennaPair pair,
     ensure(!re1.empty(),
            "mean_complex_ratio: no packet has nonzero reference amplitude");
 
-    std::vector<double> ratio_re(re1.size());
-    std::vector<double> ratio_im(re1.size());
+    std::vector<double>& ratio_re = scratch.ratio_re;
+    std::vector<double>& ratio_im = scratch.ratio_im;
+    ratio_re.resize(re1.size());
+    ratio_im.resize(re1.size());
     simd::complex_ratio(re1, im1, re2, im2, ratio_re, ratio_im);
 
     if (use_denoising && denoise.remove_impulses && ratio_re.size() >= 8) {
-        ratio_re = dsp::wavelet_correlation_denoise(ratio_re,
-                                                    denoise.wavelet);
-        ratio_im = dsp::wavelet_correlation_denoise(ratio_im,
-                                                    denoise.wavelet);
+        dsp::wavelet_correlation_denoise(ratio_re, ratio_re, denoise.wavelet,
+                                         scratch.wavelet);
+        dsp::wavelet_correlation_denoise(ratio_im, ratio_im, denoise.wavelet,
+                                         scratch.wavelet);
     }
 
     const double count = static_cast<double>(ratio_re.size());
@@ -142,25 +176,11 @@ int estimate_gamma(double delta_theta_rad, double delta_psi,
 namespace {
 
 /// Eq. 18/19: the wrapped phase-difference change and amplitude-ratio
-/// change for one pair and subcarrier (gamma and Omega not yet filled in).
-MaterialMeasurement raw_measurement(const csi::CsiSoa& baseline,
-                                    const csi::CsiSoa& target,
-                                    AntennaPair pair,
-                                    std::size_t subcarrier,
-                                    const FeatureConfig& config) {
+/// change between the stable ratios of target and baseline for one pair
+/// and subcarrier (gamma and Omega not yet filled in).
+MaterialMeasurement raw_measurement(Complex ratio_target,
+                                    Complex ratio_baseline) {
     MaterialMeasurement m;
-    // Stable antenna ratio of each capture (Fig. 14 ablation: without
-    // amplitude denoising, neither the outlier gate nor the impulse
-    // removal runs).
-    const Complex ratio_target =
-        mean_complex_ratio(target, pair, subcarrier, config.denoise,
-                           config.use_amplitude_denoising);
-    const Complex ratio_baseline =
-        mean_complex_ratio(baseline, pair, subcarrier, config.denoise,
-                           config.use_amplitude_denoising);
-    ensure(std::abs(ratio_baseline) > 0.0,
-           "measure_material: zero baseline antenna ratio");
-
     // Eq. 18: change of the calibrated phase difference.
     m.delta_theta_rad =
         wrap_to_pi(std::arg(ratio_target) - std::arg(ratio_baseline));
@@ -197,7 +217,119 @@ void check_series(const csi::CsiSoa& baseline, const csi::CsiSoa& target) {
            "measure_material: series dimensions differ");
 }
 
+/// Every (subcarrier, pair) measurement of `target` against the profile,
+/// subcarrier-major, with cross-pair wrap recovery (Sec. III-E/F).
+///
+/// Per subcarrier, pairs[0] is the reference pair: the closest pair,
+/// assumed wrap-free, whose gamma comes from the admissible-range search.
+/// Wider pairs recover their wrap count from the coarse amplitude
+/// information: the log amplitude-ratio changes of two pairs scale with
+/// their in-target path differences regardless of the material, so their
+/// ratio predicts this pair's unwrapped phase from the reference's.
+std::vector<MaterialMeasurement> measure_cells(const BaselineProfile& profile,
+                                               const csi::CsiSoa& target) {
+    ensure(target.antenna_count() == profile.antenna_count() &&
+               target.subcarrier_count() == profile.subcarrier_count(),
+           "measure_material: series dimensions differ");
+    const std::vector<AntennaPair>& pairs = profile.pairs();
+    const FeatureConfig& config = profile.config();
+    const std::span<const Complex> baseline_ratios = profile.ratios();
+    RatioScratch scratch(target.packet_count(), config);
+
+    std::vector<MaterialMeasurement> out;
+    out.reserve(baseline_ratios.size());
+    for (const std::size_t sc : profile.subcarriers()) {
+        // Stable target ratio of pair p at this subcarrier (Fig. 14
+        // ablation: without amplitude denoising, neither the outlier gate
+        // nor the impulse removal runs), against the profile's ratio for
+        // the same cell.
+        const std::size_t row = out.size();
+        const auto measure = [&](std::size_t p) {
+            return raw_measurement(
+                mean_complex_ratio(target, pairs[p], sc, config.denoise,
+                                   config.use_amplitude_denoising, scratch),
+                baseline_ratios[row + p]);
+        };
+
+        MaterialMeasurement ref = measure(0);
+        finish_measurement(
+            ref,
+            estimate_gamma(ref.delta_theta_rad, ref.delta_psi, config.gamma),
+            config);
+        const double ref_denom =
+            ref.delta_theta_rad + kTwoPi * static_cast<double>(ref.gamma);
+        const double ref_log_psi = -std::log(ref.delta_psi);
+        out.push_back(ref);
+
+        for (std::size_t p = 1; p < pairs.size(); ++p) {
+            MaterialMeasurement m = measure(p);
+            int gamma = 0;
+            if (std::abs(ref_log_psi) > 0.05) {
+                double path_ratio = -std::log(m.delta_psi) / ref_log_psi;
+                // Geometry bounds the array's path-difference ratios;
+                // clamping keeps a noisy near-zero reference from
+                // predicting wild wraps.
+                path_ratio = clamp(path_ratio, 0.0, 8.0);
+                const double predicted = ref_denom * path_ratio;
+                gamma = static_cast<int>(
+                    std::lround((predicted - m.delta_theta_rad) / kTwoPi));
+                gamma = static_cast<int>(clamp(
+                    gamma, -config.gamma.max_wraps, config.gamma.max_wraps));
+            }
+            finish_measurement(m, gamma, config);
+            out.push_back(m);
+        }
+    }
+    return out;
+}
+
+std::vector<double> omegas(const std::vector<MaterialMeasurement>& cells) {
+    std::vector<double> features;
+    features.reserve(cells.size());
+    for (const MaterialMeasurement& m : cells) {
+        features.push_back(m.omega);
+    }
+    return features;
+}
+
 }  // namespace
+
+BaselineProfile::BaselineProfile(const csi::CsiSoa& baseline,
+                                 std::vector<AntennaPair> pairs,
+                                 std::vector<std::size_t> subcarriers,
+                                 FeatureConfig config)
+    : pairs_(std::move(pairs)),
+      subcarriers_(std::move(subcarriers)),
+      config_(config),
+      antenna_count_(baseline.antenna_count()),
+      subcarrier_count_(baseline.subcarrier_count()) {
+    ensure(!pairs_.empty(), "BaselineProfile: need >= 1 antenna pair");
+    ensure(!subcarriers_.empty(), "BaselineProfile: need >= 1 subcarrier");
+    RatioScratch scratch(baseline.packet_count(), config_);
+    ratios_.reserve(pairs_.size() * subcarriers_.size());
+    for (const std::size_t sc : subcarriers_) {
+        for (const AntennaPair pair : pairs_) {
+            const Complex ratio = mean_complex_ratio(
+                baseline, pair, sc, config_.denoise,
+                config_.use_amplitude_denoising, scratch);
+            ensure(std::abs(ratio) > 0.0,
+                   "measure_material: zero baseline antenna ratio");
+            ratios_.push_back(ratio);
+        }
+    }
+}
+
+void BaselineProfile::ensure_built_for(
+    const std::vector<AntennaPair>& pairs,
+    const std::vector<std::size_t>& subcarriers,
+    const FeatureConfig& config) const {
+    ensure(pairs == pairs_,
+           "BaselineProfile: built for different antenna pairs");
+    ensure(subcarriers == subcarriers_,
+           "BaselineProfile: built for different subcarriers");
+    ensure(config == config_,
+           "BaselineProfile: built for a different feature config");
+}
 
 MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
                                      const csi::CsiSeries& target,
@@ -209,12 +341,9 @@ MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
     const csi::CsiSoa baseline_soa(baseline);
     const csi::CsiSoa target_soa(target);
     check_series(baseline_soa, target_soa);
-    MaterialMeasurement m =
-        raw_measurement(baseline_soa, target_soa, pair, subcarrier, config);
-    finish_measurement(
-        m, estimate_gamma(m.delta_theta_rad, m.delta_psi, config.gamma),
-        config);
-    return m;
+    const BaselineProfile profile(baseline_soa, {pair}, {subcarrier},
+                                  config);
+    return measure_cells(profile, target_soa).front();
 }
 
 std::vector<MaterialMeasurement> measure_material_pairs(
@@ -223,45 +352,8 @@ std::vector<MaterialMeasurement> measure_material_pairs(
     const FeatureConfig& config) {
     ensure(!pairs.empty(), "measure_material_pairs: need >= 1 pair");
     check_series(baseline, target);
-
-    std::vector<MaterialMeasurement> out;
-    out.reserve(pairs.size());
-
-    // Reference pair: assumed wrap-free (the deployment's closest pair);
-    // its gamma comes from the admissible-range search of Sec. III-E.
-    MaterialMeasurement ref =
-        raw_measurement(baseline, target, pairs.front(), subcarrier, config);
-    finish_measurement(
-        ref, estimate_gamma(ref.delta_theta_rad, ref.delta_psi, config.gamma),
-        config);
-    const double ref_denom =
-        ref.delta_theta_rad + kTwoPi * static_cast<double>(ref.gamma);
-    const double ref_log_psi = -std::log(ref.delta_psi);
-    out.push_back(ref);
-
-    for (std::size_t p = 1; p < pairs.size(); ++p) {
-        MaterialMeasurement m =
-            raw_measurement(baseline, target, pairs[p], subcarrier, config);
-        // Coarse-amplitude wrap recovery: the log amplitude-ratio changes
-        // of two pairs scale with their in-target path differences
-        // regardless of the material, so their ratio predicts this pair's
-        // unwrapped phase from the reference pair's phase.
-        int gamma = 0;
-        if (std::abs(ref_log_psi) > 0.05) {
-            double path_ratio = -std::log(m.delta_psi) / ref_log_psi;
-            // Geometry bounds the array's path-difference ratios; clamping
-            // keeps a noisy near-zero reference from predicting wild wraps.
-            path_ratio = clamp(path_ratio, 0.0, 8.0);
-            const double predicted = ref_denom * path_ratio;
-            gamma = static_cast<int>(
-                std::lround((predicted - m.delta_theta_rad) / kTwoPi));
-            gamma = static_cast<int>(clamp(gamma, -config.gamma.max_wraps,
-                                           config.gamma.max_wraps));
-        }
-        finish_measurement(m, gamma, config);
-        out.push_back(m);
-    }
-    return out;
+    return measure_cells(
+        BaselineProfile(baseline, pairs, {subcarrier}, config), target);
 }
 
 std::vector<MaterialMeasurement> measure_material_pairs(
@@ -285,15 +377,16 @@ std::vector<double> extract_feature_vector(
            "extract_feature_vector: need >= 1 subcarrier");
     WIMI_TRACE_SPAN("feature.extract");
     WIMI_OBS_COUNT("feature.vectors_extracted", 1);
-    std::vector<double> features;
-    features.reserve(pairs.size() * subcarriers.size());
-    for (const std::size_t sc : subcarriers) {
-        for (const MaterialMeasurement& m :
-             measure_material_pairs(baseline, target, pairs, sc, config)) {
-            features.push_back(m.omega);
-        }
-    }
-    return features;
+    check_series(baseline, target);
+    return omegas(measure_cells(
+        BaselineProfile(baseline, pairs, subcarriers, config), target));
+}
+
+std::vector<double> extract_feature_vector(const BaselineProfile& profile,
+                                           const csi::CsiSoa& target) {
+    WIMI_TRACE_SPAN("feature.extract");
+    WIMI_OBS_COUNT("feature.vectors_extracted", 1);
+    return omegas(measure_cells(profile, target));
 }
 
 std::vector<double> extract_feature_vector(

@@ -27,8 +27,10 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
+#include "common/math.hpp"
 #include "core/amplitude_denoising.hpp"
 #include "core/phase_calibration.hpp"
 #include "csi/frame.hpp"
@@ -43,6 +45,8 @@ struct GammaConfig {
     /// span ~0.01 (oil) to ~0.65 (honey); candidates outside are rejected.
     double min_abs_omega = 0.03;
     double max_abs_omega = 0.8;
+
+    bool operator==(const GammaConfig&) const = default;
 };
 
 /// One (pair, subcarrier) measurement and its derived feature.
@@ -66,6 +70,8 @@ struct FeatureConfig {
     /// ~0.2 rad) it bounds the noise amplification of the division
     /// instead of letting Omega blow up.
     double phase_ridge_rad = 0.12;
+
+    bool operator==(const FeatureConfig&) const = default;
 };
 
 /// Estimates the wrap count gamma: the integer in [-max_wraps, max_wraps]
@@ -75,8 +81,58 @@ struct FeatureConfig {
 int estimate_gamma(double delta_theta_rad, double delta_psi,
                    const GammaConfig& config);
 
+/// The baseline (empty-beaker) half of the feature, computed once.
+///
+/// Every DeltaTheta / DeltaPsi compares the target's stable antenna ratio
+/// with the baseline's, and the baseline's ratio for a (subcarrier, pair)
+/// cell depends only on the baseline capture, the cell and the feature
+/// config. A profile holds those ratios for every cell of one selection,
+/// so a caller scoring many targets against one baseline (the stream
+/// path, one target window per hop) pays for the baseline half once.
+/// Immutable after construction; safe to share across threads.
+class BaselineProfile {
+public:
+    /// Computes the stable ratio of every (subcarrier, pair) cell of
+    /// `baseline` (outlier mask, complex ratio, wavelet denoise, as
+    /// `config` says). Throws on empty pairs or subcarriers, an
+    /// out-of-range cell, or a zero baseline ratio.
+    BaselineProfile(const csi::CsiSoa& baseline,
+                    std::vector<AntennaPair> pairs,
+                    std::vector<std::size_t> subcarriers,
+                    FeatureConfig config);
+
+    const std::vector<AntennaPair>& pairs() const { return pairs_; }
+    const std::vector<std::size_t>& subcarriers() const {
+        return subcarriers_;
+    }
+    const FeatureConfig& config() const { return config_; }
+    std::size_t antenna_count() const { return antenna_count_; }
+    std::size_t subcarrier_count() const { return subcarrier_count_; }
+
+    /// Stable baseline ratio per cell, subcarrier-major (extract order):
+    /// ratios()[s * pairs().size() + p] is subcarriers()[s], pairs()[p].
+    std::span<const Complex> ratios() const { return ratios_; }
+
+    /// Throws unless `pairs`, `subcarriers` and `config` are exactly the
+    /// ones this profile was built for: a caller holding a profile next
+    /// to a separately stored selection checks they still agree.
+    void ensure_built_for(const std::vector<AntennaPair>& pairs,
+                          const std::vector<std::size_t>& subcarriers,
+                          const FeatureConfig& config) const;
+
+private:
+    std::vector<AntennaPair> pairs_;
+    std::vector<std::size_t> subcarriers_;
+    FeatureConfig config_;
+    std::size_t antenna_count_ = 0;
+    std::size_t subcarrier_count_ = 0;
+    std::vector<Complex> ratios_;
+};
+
 /// Computes the measurement for one antenna pair and subcarrier.
 /// Both series must share dimensions; requires >= 1 packet each.
+/// Like every overload below, a wrapper that builds a BaselineProfile
+/// and runs the profile overload of extract_feature_vector's loop.
 MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
                                      const csi::CsiSeries& target,
                                      AntennaPair pair, std::size_t subcarrier,
@@ -120,5 +176,14 @@ std::vector<double> extract_feature_vector(
     const csi::CsiSoa& baseline, const csi::CsiSoa& target,
     const std::vector<AntennaPair>& pairs,
     const std::vector<std::size_t>& subcarriers, const FeatureConfig& config);
+
+/// Feature vector of `target` against a precomputed baseline profile,
+/// with the profile's pairs, subcarriers and config. The one
+/// implementation of the per-subcarrier reference-pair and wrap-recovery
+/// loop; the overloads above build a profile and call it, so they are
+/// bit-identical to it by construction. Throws unless `target` has the
+/// profile's antenna and subcarrier counts.
+std::vector<double> extract_feature_vector(const BaselineProfile& profile,
+                                           const csi::CsiSoa& target);
 
 }  // namespace wimi::core

@@ -7,27 +7,39 @@
 
 namespace wimi::core {
 
+namespace {
+
+BaselineProfile make_profile(const csi::CsiSeries& baseline,
+                             std::vector<AntennaPair> pairs,
+                             std::vector<std::size_t> subcarriers,
+                             const FeatureConfig& config) {
+    ensure(!baseline.empty(),
+           "WindowFeatureExtractor: baseline must have >= 1 packet");
+    ensure(!pairs.empty(), "WindowFeatureExtractor: need >= 1 antenna pair");
+    ensure(!subcarriers.empty(),
+           "WindowFeatureExtractor: need >= 1 subcarrier");
+    return BaselineProfile(csi::CsiSoa(baseline), std::move(pairs),
+                           std::move(subcarriers), config);
+}
+
+}  // namespace
+
 WindowFeatureExtractor::WindowFeatureExtractor(
     csi::CsiSeries baseline, std::vector<AntennaPair> pairs,
     std::vector<std::size_t> subcarriers, FeatureConfig config)
-    : baseline_(std::move(baseline)),
-      baseline_soa_(baseline_),
-      pairs_(std::move(pairs)),
-      subcarriers_(std::move(subcarriers)),
-      config_(config) {
-    ensure(!baseline_.empty(),
-           "WindowFeatureExtractor: baseline must have >= 1 packet");
-    ensure(!pairs_.empty(), "WindowFeatureExtractor: need >= 1 antenna pair");
-    ensure(!subcarriers_.empty(),
-           "WindowFeatureExtractor: need >= 1 subcarrier");
-}
+    : profile_(make_profile(baseline, std::move(pairs),
+                            std::move(subcarriers), config)) {}
 
 std::vector<double> WindowFeatureExtractor::extract(
     const csi::CsiSeries& window) const {
-    // Same two-SoA shape as the series overload of extract_feature_vector,
-    // with the baseline side cached: bit-identical output.
-    return extract_feature_vector(baseline_soa_, csi::CsiSoa(window), pairs_,
-                                  subcarriers_, config_);
+    // The batch overload builds this same profile per call and runs the
+    // same profile overload on a fresh target SoA: bit-identical output.
+    if (target_) {
+        target_->assign(window);
+    } else {
+        target_.emplace(window);
+    }
+    return extract_feature_vector(profile_, *target_);
 }
 
 WindowFeatureExtractor make_window_extractor(const Wimi& wimi,

@@ -5,13 +5,14 @@
 // baseline against a different target window every hop, so two pieces of
 // state are worth keeping across windows:
 //
-//   * WindowFeatureExtractor — the baseline's structure-of-arrays
-//     transpose (and its lazily cached amplitude planes) is built once
-//     and reused for every window. Per window only the target SoA is
-//     built. Numeric contract: extract() is bit-identical to
-//     core::extract_feature_vector(baseline, window, ...) — the series
-//     overload builds exactly these two SoAs per call — and therefore to
-//     Wimi::features on the same inputs.
+//   * WindowFeatureExtractor — the baseline half of the feature (a
+//     core::BaselineProfile: the stable antenna ratio of every selected
+//     cell) is computed once and reused for every window; per window
+//     only the target half runs, transposed into one target SoA whose
+//     storage is reused across windows. Numeric contract: extract() is
+//     bit-identical to core::extract_feature_vector(baseline, window,
+//     ...) — that overload builds the same profile and runs the same
+//     loop — and therefore to Wimi::features on the same inputs.
 //
 //   * RunningPhaseCalibration — O(1)-per-packet circular accumulator for
 //     a phase-difference stream (sum of unit phasors). The windowed
@@ -27,6 +28,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/material_feature.hpp"
@@ -38,13 +40,13 @@ namespace wimi::core {
 
 class Wimi;
 
-/// Fixed-baseline, per-window feature extraction with the baseline SoA
-/// cached across windows.
+/// Fixed-baseline, per-window feature extraction with the baseline half
+/// computed once.
 class WindowFeatureExtractor {
 public:
-    /// Copies `baseline` (the stream outlives any caller scope) and
-    /// transposes it once. Throws on an empty baseline or empty
-    /// pairs/subcarriers.
+    /// Builds the baseline profile of `baseline` for the given selection;
+    /// the series itself is not kept. Throws on an empty baseline or
+    /// empty pairs/subcarriers, and where BaselineProfile throws.
     WindowFeatureExtractor(csi::CsiSeries baseline,
                            std::vector<AntennaPair> pairs,
                            std::vector<std::size_t> subcarriers,
@@ -52,22 +54,21 @@ public:
 
     /// Feature vector for one target window — bit-identical to the batch
     /// extract_feature_vector(baseline, window, pairs, subcarriers,
-    /// config) call on the same frames.
+    /// config) call on the same frames. Reuses the extractor's target
+    /// buffer, so concurrent calls on one extractor are not safe.
     std::vector<double> extract(const csi::CsiSeries& window) const;
 
-    const std::vector<AntennaPair>& pairs() const { return pairs_; }
-    const std::vector<std::size_t>& subcarriers() const {
-        return subcarriers_;
+    const std::vector<AntennaPair>& pairs() const {
+        return profile_.pairs();
     }
-    const FeatureConfig& config() const { return config_; }
-    const csi::CsiSeries& baseline() const { return baseline_; }
+    const std::vector<std::size_t>& subcarriers() const {
+        return profile_.subcarriers();
+    }
+    const FeatureConfig& config() const { return profile_.config(); }
 
 private:
-    csi::CsiSeries baseline_;
-    csi::CsiSoa baseline_soa_;
-    std::vector<AntennaPair> pairs_;
-    std::vector<std::size_t> subcarriers_;
-    FeatureConfig config_;
+    BaselineProfile profile_;
+    mutable std::optional<csi::CsiSoa> target_;
 };
 
 /// Builds an extractor from a calibrated Wimi instance: same pairs,

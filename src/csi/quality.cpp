@@ -70,10 +70,16 @@ double amplitude_ratio_stability(const CsiSeries& series,
                                  std::size_t subcarrier) {
     ensure(antenna1 != antenna2,
            "amplitude_ratio_stability: antennas must differ");
-    const auto ratios =
-        series.amplitude_ratio_series(antenna1, antenna2, subcarrier);
     MeanVar stats;
-    for (const double r : ratios) {
+    for (const CsiFrame& frame : series.frames) {
+        // Frames whose denominator quantized to exactly zero (deep fade
+        // at int8 resolution) carry no ratio; skip them rather than fail,
+        // as variance_report_from_planes does.
+        const double denom = frame.amplitude(antenna2, subcarrier);
+        if (denom <= 0.0) {
+            continue;
+        }
+        const double r = frame.amplitude(antenna1, subcarrier) / denom;
         if (std::isfinite(r)) {
             stats.add(r);
         }

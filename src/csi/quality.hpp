@@ -36,6 +36,8 @@ AmplitudeQuality amplitude_quality(const CsiSeries& series);
 /// Per-packet stability of the amplitude ratio |H_a| / |H_b| between two
 /// antennas at one subcarrier, as a unit-mean variance (the Sec. III-D
 /// quantity the material feature is built on). Lower is more stable.
+/// Frames whose antenna2 amplitude is zero carry no ratio and are
+/// skipped; returns 0 when no frame has one.
 double amplitude_ratio_stability(const CsiSeries& series,
                                  std::size_t antenna1, std::size_t antenna2,
                                  std::size_t subcarrier);

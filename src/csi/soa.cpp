@@ -7,7 +7,9 @@
 
 namespace wimi::csi {
 
-CsiSoa::CsiSoa(const CsiSeries& series) {
+CsiSoa::CsiSoa(const CsiSeries& series) { assign(series); }
+
+void CsiSoa::assign(const CsiSeries& series) {
     ensure(!series.empty(), "CsiSoa: empty series");
     series.validate();
     packets_ = series.packet_count();

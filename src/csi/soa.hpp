@@ -45,6 +45,13 @@ public:
     /// subcarriers), done once.
     explicit CsiSoa(const CsiSeries& series);
 
+    /// Re-transposes `series` into this buffer, reusing its storage: a
+    /// caller transposing many same-shape series (one stream window per
+    /// hop) allocates only on the first. Same validation as, and
+    /// bit-identical planes to, CsiSoa(series); the lazy amplitude and
+    /// phase caches start empty again.
+    void assign(const CsiSeries& series);
+
     std::size_t packet_count() const { return packets_; }
     std::size_t antenna_count() const { return antennas_; }
     std::size_t subcarrier_count() const { return subcarriers_; }

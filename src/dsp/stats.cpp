@@ -15,8 +15,37 @@ namespace {
 /// behavior, not just a wrong answer. Every sorting-based entry point
 /// rejects non-finite input up front instead.
 void ensure_all_finite(std::span<const double> values, const char* what) {
-    ensure(simd::all_finite(values),
-           std::string(what) + ": input contains a non-finite value");
+    if (!simd::all_finite(values)) {
+        fail(std::string(what) + ": input contains a non-finite value");
+    }
+}
+
+/// Median of a scratch buffer, reordering it in place. The selected order
+/// statistics do not depend on the buffer's prior order, so every caller
+/// gets the same value whether it passes a fresh copy or reused storage.
+double median_in_place(std::span<double> values) {
+    ensure(!values.empty(), "median: input must not be empty");
+    ensure_all_finite(values, "median");
+    const std::size_t mid = values.size() / 2;
+    std::nth_element(values.begin(), values.begin() + mid, values.end());
+    const double upper = values[mid];
+    if (values.size() % 2 == 1) {
+        return upper;
+    }
+    const double lower =
+        *std::max_element(values.begin(), values.begin() + mid);
+    return 0.5 * (lower + upper);
+}
+
+/// Median absolute deviation over caller-owned buffers, which are resized
+/// to values.size() and overwritten.
+double mad_into(std::span<const double> values, std::vector<double>& sorted,
+                std::vector<double>& deviations) {
+    sorted.assign(values.begin(), values.end());
+    const double med = median_in_place(sorted);
+    deviations.resize(values.size());
+    simd::absolute_deviation(values, med, deviations);
+    return median_in_place(deviations);
 }
 
 }  // namespace
@@ -45,29 +74,24 @@ double sample_variance(std::span<const double> values) {
 }
 
 double median(std::span<const double> values) {
-    ensure(!values.empty(), "median: input must not be empty");
-    ensure_all_finite(values, "median");
     std::vector<double> sorted(values.begin(), values.end());
-    const std::size_t mid = sorted.size() / 2;
-    std::nth_element(sorted.begin(), sorted.begin() + mid, sorted.end());
-    const double upper = sorted[mid];
-    if (sorted.size() % 2 == 1) {
-        return upper;
-    }
-    const double lower =
-        *std::max_element(sorted.begin(), sorted.begin() + mid);
-    return 0.5 * (lower + upper);
+    return median_in_place(sorted);
 }
 
 double median_absolute_deviation(std::span<const double> values) {
-    const double med = median(values);
-    std::vector<double> deviations(values.size());
-    simd::absolute_deviation(values, med, deviations);
-    return median(deviations);
+    std::vector<double> sorted;
+    std::vector<double> deviations;
+    return mad_into(values, sorted, deviations);
 }
 
 double robust_sigma(std::span<const double> values) {
     return median_absolute_deviation(values) / 0.6745;
+}
+
+double robust_sigma(std::span<const double> values,
+                    std::vector<double>& sorted,
+                    std::vector<double>& deviations) {
+    return mad_into(values, sorted, deviations) / 0.6745;
 }
 
 double percentile(std::span<const double> values, double p) {
@@ -108,12 +132,17 @@ double rmse(std::span<const double> a, std::span<const double> b) {
                      static_cast<double>(a.size()));
 }
 
-std::vector<std::size_t> sigma_outlier_indices(std::span<const double> values,
-                                               double k_sigma) {
+namespace {
+
+/// Visits the index of every element outside [mean - k*sigma,
+/// mean + k*sigma]: the one gate behind sigma_outlier_indices and
+/// mask_sigma_outliers.
+template <typename Visit>
+void for_each_sigma_outlier(std::span<const double> values, double k_sigma,
+                            Visit&& visit) {
     ensure(k_sigma > 0.0, "sigma_outlier_indices: k_sigma must be positive");
-    std::vector<std::size_t> outliers;
     if (values.empty()) {
-        return outliers;
+        return;
     }
     // A single NaN would poison mean/stddev, making both band edges NaN
     // and every comparison false — the gate would silently pass
@@ -125,10 +154,27 @@ std::vector<std::size_t> sigma_outlier_indices(std::span<const double> values,
     const double hi = mu + k_sigma * sigma;
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (values[i] < lo || values[i] > hi) {
-            outliers.push_back(i);
+            visit(i);
         }
     }
+}
+
+}  // namespace
+
+std::vector<std::size_t> sigma_outlier_indices(std::span<const double> values,
+                                               double k_sigma) {
+    std::vector<std::size_t> outliers;
+    for_each_sigma_outlier(values, k_sigma,
+                           [&](std::size_t i) { outliers.push_back(i); });
     return outliers;
+}
+
+void mask_sigma_outliers(std::span<const double> values, double k_sigma,
+                         std::span<char> inlier) {
+    ensure(inlier.size() == values.size(),
+           "mask_sigma_outliers: mask size differs from input size");
+    for_each_sigma_outlier(values, k_sigma,
+                           [&](std::size_t i) { inlier[i] = 0; });
 }
 
 std::vector<double> reject_sigma_outliers(std::span<const double> values,

@@ -41,6 +41,13 @@ double median_absolute_deviation(std::span<const double> values);
 /// for the wavelet noise threshold per the paper's ref. [24].
 double robust_sigma(std::span<const double> values);
 
+/// robust_sigma over caller-owned buffers: `sorted` and `deviations` are
+/// resized to values.size() and overwritten, so a caller evaluating many
+/// series reuses their storage. Bit-identical to the allocating overload.
+double robust_sigma(std::span<const double> values,
+                    std::vector<double>& sorted,
+                    std::vector<double>& deviations);
+
 /// Linear interpolated percentile; p in [0, 100]. Requires a non-empty,
 /// all-finite input.
 double percentile(std::span<const double> values, double p);
@@ -57,6 +64,13 @@ double rmse(std::span<const double> a, std::span<const double> b);
 /// would otherwise poison the band and disable the gate silently).
 std::vector<std::size_t> sigma_outlier_indices(std::span<const double> values,
                                                double k_sigma);
+
+/// Allocation-free form of sigma_outlier_indices: sets inlier[i] = 0 for
+/// every outlier index and leaves the other entries untouched, so masks
+/// of several series can be combined in one buffer. Requires
+/// inlier.size() == values.size(); validates like sigma_outlier_indices.
+void mask_sigma_outliers(std::span<const double> values, double k_sigma,
+                         std::span<char> inlier);
 
 /// Returns `values` with sigma outliers replaced by the mean of the
 /// surviving samples (paper Sec. III-C, outlier removal step).

@@ -163,6 +163,13 @@ std::vector<double> idwt(const DwtDecomposition& decomposition) {
 
 AtrousDecomposition atrous_decompose(std::span<const double> input,
                                      std::size_t levels) {
+    AtrousDecomposition out;
+    atrous_decompose(input, levels, out);
+    return out;
+}
+
+void atrous_decompose(std::span<const double> input, std::size_t levels,
+                      AtrousDecomposition& out) {
     ensure(!input.empty(), "atrous_decompose: input must not be empty");
     ensure(levels >= 1, "atrous_decompose: levels must be >= 1");
 
@@ -170,30 +177,39 @@ AtrousDecomposition atrous_decompose(std::span<const double> input,
     // detail-plane subtraction both run through the simd kernels; the
     // atrous_smooth kernel owns the tap weights and the periodic
     // boundary, and is bit-exact between its scalar and vector paths.
-    AtrousDecomposition out;
-    std::vector<double> current(input.begin(), input.end());
+    // `approx` carries the current smooth plane from level to level: each
+    // level smooths it into the next detail slot, turns `approx` into the
+    // detail (current - smoothed), then swaps the two buffers.
+    const std::size_t n = input.size();
+    out.details.resize(levels);
+    out.approx.assign(input.begin(), input.end());
     for (std::size_t level = 0; level < levels; ++level) {
         const std::size_t step = static_cast<std::size_t>(1) << level;
-        std::vector<double> smoothed(input.size());
-        simd::atrous_smooth(current, step, smoothed);
-        std::vector<double> detail(input.size());
-        simd::subtract(current, smoothed, detail);
-        out.details.push_back(std::move(detail));
-        current = std::move(smoothed);
+        std::vector<double>& detail = out.details[level];
+        detail.resize(n);
+        simd::atrous_smooth(out.approx, step, detail);
+        simd::subtract(out.approx, detail, out.approx);
+        out.approx.swap(detail);
     }
-    out.approx = std::move(current);
-    return out;
 }
 
 std::vector<double> atrous_reconstruct(const AtrousDecomposition& d) {
     ensure(!d.approx.empty(), "atrous_reconstruct: empty decomposition");
-    std::vector<double> out = d.approx;
+    std::vector<double> out(d.approx.size());
+    atrous_reconstruct(d, out);
+    return out;
+}
+
+void atrous_reconstruct(const AtrousDecomposition& d, std::span<double> out) {
+    ensure(!d.approx.empty(), "atrous_reconstruct: empty decomposition");
+    ensure(out.size() == d.approx.size(),
+           "atrous_reconstruct: output size differs from plane size");
+    std::copy(d.approx.begin(), d.approx.end(), out.begin());
     for (const auto& detail : d.details) {
         ensure(detail.size() == out.size(),
                "atrous_reconstruct: inconsistent plane sizes");
         simd::add_in_place(out, detail);
     }
-    return out;
 }
 
 }  // namespace wimi::dsp

@@ -64,7 +64,16 @@ struct AtrousDecomposition {
 AtrousDecomposition atrous_decompose(std::span<const double> input,
                                      std::size_t levels);
 
+/// atrous_decompose into caller-owned planes: every plane of `out` is
+/// resized to input.size() and overwritten, so repeated calls reuse its
+/// storage. Bit-identical to the returning overload.
+void atrous_decompose(std::span<const double> input, std::size_t levels,
+                      AtrousDecomposition& out);
+
 /// Reconstruction is the plain sum of all detail planes plus the approx.
 std::vector<double> atrous_reconstruct(const AtrousDecomposition& d);
+
+/// atrous_reconstruct into `out`, which must have the planes' length.
+void atrous_reconstruct(const AtrousDecomposition& d, std::span<double> out);
 
 }  // namespace wimi::dsp

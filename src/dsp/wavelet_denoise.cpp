@@ -19,23 +19,52 @@ double power(std::span<const double> v) { return simd::sum_squares(v); }
 /// at the entry point turns that into an error naming the caller instead
 /// of an opaque "median: ..." failure from inside the decomposition.
 void ensure_all_finite(std::span<const double> values, const char* what) {
-    ensure(simd::all_finite(values),
-           std::string(what) + ": input contains a non-finite value");
+    if (!simd::all_finite(values)) {
+        fail(std::string(what) + ": input contains a non-finite value");
+    }
 }
 
 }  // namespace
 
+void WaveletDenoiseScratch::reserve(std::size_t samples,
+                                    std::size_t levels) {
+    planes.details.resize(levels);
+    for (auto& plane : planes.details) {
+        plane.reserve(samples);
+    }
+    planes.approx.reserve(samples);
+    correlation.reserve(samples);
+    sorted.reserve(samples);
+    deviations.reserve(samples);
+}
+
 std::vector<double> wavelet_correlation_denoise(
     std::span<const double> input, const WaveletDenoiseConfig& config,
     WaveletDenoiseReport* report) {
+    WaveletDenoiseScratch scratch;
+    std::vector<double> output(input.size());
+    wavelet_correlation_denoise(input, output, config, scratch, report);
+    return output;
+}
+
+void wavelet_correlation_denoise(std::span<const double> input,
+                                 std::span<double> output,
+                                 const WaveletDenoiseConfig& config,
+                                 WaveletDenoiseScratch& scratch,
+                                 WaveletDenoiseReport* report) {
     ensure(input.size() >= 8,
            "wavelet_correlation_denoise: need at least 8 samples");
     ensure(config.levels >= 2,
            "wavelet_correlation_denoise: need at least 2 scales to "
            "correlate adjacent scales");
+    ensure(output.size() == input.size(),
+           "wavelet_correlation_denoise: output size differs from input "
+           "size");
     ensure_all_finite(input, "wavelet_correlation_denoise");
 
-    auto decomposition = atrous_decompose(input, config.levels);
+    // Decomposing copies `input`, so `output` may alias it from here on.
+    AtrousDecomposition& decomposition = scratch.planes;
+    atrous_decompose(input, config.levels, decomposition);
     const std::size_t n = input.size();
     const std::size_t levels = config.levels;
 
@@ -52,7 +81,8 @@ std::vector<double> wavelet_correlation_denoise(
     // Impulse coefficients are zeroed in place (the paper's stage-2 goal
     // is impulse removal), and the clean series is rebuilt from what
     // remains.
-    std::vector<double> corr(n);
+    std::vector<double>& corr = scratch.correlation;
+    corr.resize(n);
     for (std::size_t l = 0; l < levels; ++l) {
         auto& w_l = decomposition.details[l];
         // The scale adjacent to the coarsest detail plane is the smooth
@@ -63,7 +93,8 @@ std::vector<double> wavelet_correlation_denoise(
 
         // Robust noise power at this scale: sigma_hat from the median of
         // |coefficients| (Donoho–Johnstone via the paper's ref. [24]).
-        const double sigma_hat = robust_sigma(w_l);
+        const double sigma_hat =
+            robust_sigma(w_l, scratch.sorted, scratch.deviations);
         const double noise_power = config.noise_threshold_scale *
                                    static_cast<double>(n) * sigma_hat *
                                    sigma_hat;
@@ -101,7 +132,7 @@ std::vector<double> wavelet_correlation_denoise(
 
     // Reconstruct from the residual planes (impulse coefficients removed)
     // plus the smooth approximation.
-    return atrous_reconstruct(decomposition);
+    atrous_reconstruct(decomposition, output);
 }
 
 std::vector<double> universal_threshold_denoise(std::span<const double> input,

@@ -24,6 +24,8 @@
 #include <span>
 #include <vector>
 
+#include "dsp/wavelet.hpp"
+
 namespace wimi::dsp {
 
 /// Tuning parameters for the correlation denoiser.
@@ -37,6 +39,8 @@ struct WaveletDenoiseConfig {
     /// Multiplier on the robust noise power estimate used as the stop
     /// threshold per scale.
     double noise_threshold_scale = 1.0;
+
+    bool operator==(const WaveletDenoiseConfig&) const = default;
 };
 
 /// Per-scale diagnostics for tests and the Fig. 7 bench.
@@ -46,6 +50,20 @@ struct WaveletDenoiseReport {
     std::vector<double> noise_threshold_per_scale;
 };
 
+/// Caller-owned working storage for wavelet_correlation_denoise. A
+/// caller denoising many series keeps one and passes it to every call;
+/// the buffers grow to the longest series seen and are then reused.
+struct WaveletDenoiseScratch {
+    AtrousDecomposition planes;       ///< a-trous detail + approx planes
+    std::vector<double> correlation;  ///< Eq. 11 adjacent-scale product
+    std::vector<double> sorted;       ///< robust_sigma median buffer
+    std::vector<double> deviations;   ///< robust_sigma MAD buffer
+
+    /// Sizes every buffer for series of up to `samples` at `levels`
+    /// scales, so calls within that bound no longer allocate.
+    void reserve(std::size_t samples, std::size_t levels);
+};
+
 /// Denoises `input` and returns the reconstructed clean series
 /// (same length). Optionally fills `report` with per-scale diagnostics.
 /// Requires >= 8 all-finite samples (the robust noise estimate is an
@@ -53,6 +71,16 @@ struct WaveletDenoiseReport {
 std::vector<double> wavelet_correlation_denoise(
     std::span<const double> input, const WaveletDenoiseConfig& config = {},
     WaveletDenoiseReport* report = nullptr);
+
+/// Scratch overload: writes the clean series to `output` (same length as
+/// `input`; it may alias `input` for an in-place denoise) and keeps all
+/// intermediate planes in `scratch`. Same checks as, and bit-identical
+/// to, the returning overload, which is a wrapper around this one.
+void wavelet_correlation_denoise(std::span<const double> input,
+                                 std::span<double> output,
+                                 const WaveletDenoiseConfig& config,
+                                 WaveletDenoiseScratch& scratch,
+                                 WaveletDenoiseReport* report = nullptr);
 
 /// Baseline for comparison: classical soft-threshold denoising with the
 /// Donoho–Johnstone universal threshold sigma * sqrt(2 ln N) on the

@@ -117,6 +117,42 @@ TEST(RecordSignalQuality, PopulatesRegistryWhenEnabled) {
     obs::registry().reset();
 }
 
+TEST(RatioStability, ZeroDenominatorFrameIsSkipped) {
+    // A quantized deep fade reads exactly 0 on the denominator antenna:
+    // that frame carries no ratio, and the probe must score the others.
+    auto series = synthetic_series({1.0, 2.0}, {0.0, 0.0}, 60,
+                                   /*amp_noise=*/0.05, 0.0, 41);
+    auto without = series;
+    without.frames.erase(without.frames.begin() + 17);
+    series.frames[17].at(1, 0) = Complex(0.0, 0.0);
+    EXPECT_DOUBLE_EQ(amplitude_ratio_stability(series, 0, 1, 0),
+                     amplitude_ratio_stability(without, 0, 1, 0));
+}
+
+TEST(RecordSignalQuality, ZeroAmplitudeCellDoesNotThrow) {
+#if defined(WIMI_OBS_DISABLED)
+    GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)";
+#endif
+    obs::set_enabled(true);
+    obs::registry().reset();
+    auto series = synthetic_series({1.0, 2.0, 3.0}, {0.0, 0.1, 0.2}, 40,
+                                   0.02, 0.0, 31);
+    // Subcarrier 0 of antenna 1 is both a numerator (pair 1-2) and a
+    // denominator (pair 0-1) of the pair probe.
+    series.frames[5].at(1, 0) = Complex(0.0, 0.0);
+    EXPECT_NO_THROW(record_signal_quality(series));
+    bool saw_ratio_hist = false;
+    for (const auto& [name, summary] :
+         obs::registry().snapshot().histograms) {
+        if (name == "quality.pair.ratio_variance") {
+            saw_ratio_hist = true;
+            EXPECT_EQ(summary.count, 3u);
+        }
+    }
+    EXPECT_TRUE(saw_ratio_hist);
+    obs::registry().reset();
+}
+
 TEST(RecordSignalQuality, EmptySeriesIsANoOp) {
     // reset() zeroes values but keeps names registered, so check for
     // recorded samples rather than the absence of histogram entries

@@ -18,6 +18,7 @@
 #include "serve/model_io.hpp"
 #include "sim/harness.hpp"
 #include "sim/scenario.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::serve {
 namespace {
@@ -76,7 +77,7 @@ TEST(Inference, BatchIsBitIdenticalAcrossThreadWidths) {
 }
 
 TEST(Inference, LoadedEnginePredictsLikeTheOriginal) {
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_inference_roundtrip.wmdl";
     save_model_file(path, trained_model());
     const InferenceEngine original(trained_model());
@@ -91,7 +92,7 @@ TEST(Inference, LoadedEnginePredictsLikeTheOriginal) {
 }
 
 TEST(Inference, CacheSharesOneEngine) {
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_inference_cache.wmdl";
     save_model_file(path, trained_model());
     InferenceEngine::clear_cache();
@@ -122,7 +123,7 @@ const TrainedModel& alternate_model() {
 /// the file again, so an artifact retrained in place kept serving the
 /// stale first load — exactly the daemon hot-reload shape.
 TEST(Inference, CacheReloadsRewrittenArtifact) {
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_inference_rewrite.wmdl";
     save_model_file(path, trained_model());
     InferenceEngine::clear_cache();
@@ -148,7 +149,7 @@ TEST(Inference, CacheReloadsRewrittenArtifact) {
 }
 
 TEST(Inference, CacheSurvivesMtimeBumpWithSameBytes) {
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_inference_touch.wmdl";
     save_model_file(path, trained_model());
     InferenceEngine::clear_cache();
@@ -165,7 +166,7 @@ TEST(Inference, CacheSurvivesMtimeBumpWithSameBytes) {
 }
 
 TEST(Inference, InvalidateDropsOnePath) {
-    const auto dir = std::filesystem::temp_directory_path();
+    const auto dir = testutil::scratch_dir();
     const auto path_a = dir / "wimi_inference_inv_a.wmdl";
     const auto path_b = dir / "wimi_inference_inv_b.wmdl";
     save_model_file(path_a, trained_model());
@@ -188,7 +189,7 @@ TEST(Inference, InvalidateDropsOnePath) {
 /// landed in a different cache slot than its plain spelling — two
 /// engines for one artifact, and invalidate() missing one of them.
 TEST(Inference, CacheKeyNormalizesAliasedSpellings) {
-    const auto dir = std::filesystem::temp_directory_path();
+    const auto dir = testutil::scratch_dir();
     const auto plain = dir / "wimi_inference_alias.wmdl";
     save_model_file(plain, trained_model());
 
@@ -278,7 +279,7 @@ TEST_P(InferenceEnvironment, RoundTripPredictsBitIdentically) {
     config.repetitions = 4;
     const TrainedModel model = sim::train_experiment_model(config);
 
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_inference_env_roundtrip.wmdl";
     save_model_file(path, model);
     const InferenceEngine original(model);

@@ -13,6 +13,7 @@
 #include "rf/propagation.hpp"
 #include "sim/harness.hpp"
 #include "sim/scenario.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi {
 namespace {
@@ -114,7 +115,7 @@ TEST(Integration, TraceRoundTripPreservesFeatures) {
     wimi.calibrate(scenario.capture_reference(99));
     const auto m = scenario.capture_measurement(rf::Liquid::kPepsi, 123);
 
-    const auto dir = std::filesystem::temp_directory_path();
+    const auto dir = testutil::scratch_dir();
     const auto base_path = dir / "wimi_integration_base.wcsi";
     const auto target_path = dir / "wimi_integration_target.wcsi";
     csi::write_trace_file(base_path, m.baseline);

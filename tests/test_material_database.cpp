@@ -7,6 +7,7 @@
 #include <fstream>
 
 #include "common/error.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::core {
 namespace {
@@ -57,7 +58,7 @@ TEST(MaterialDatabase, SaveLoadRoundTrip) {
     db.add_sample(sweet, std::vector<double>{-0.196, -0.199, -0.192});
     db.add_sample(water, std::vector<double>{-0.144, -0.142, -0.146});
 
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_material_db_test.txt";
     db.save(path);
     const auto loaded = MaterialDatabase::load(path);
@@ -77,7 +78,7 @@ TEST(MaterialDatabase, SaveLoadRoundTrip) {
 }
 
 TEST(MaterialDatabase, LoadRejectsGarbage) {
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_material_db_garbage.txt";
     {
         std::ofstream out(path);
@@ -89,7 +90,7 @@ TEST(MaterialDatabase, LoadRejectsGarbage) {
 }
 
 TEST(MaterialDatabase, LoadRejectsTruncatedSamples) {
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_material_db_truncated.txt";
     {
         std::ofstream out(path);

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "common/error.hpp"
 #include "pipeline_test_util.hpp"
@@ -175,6 +178,207 @@ TEST(ExtractFeatureVector, Validation) {
                  Error);
     const csi::CsiSeries empty;
     EXPECT_THROW(measure_material(empty, t.target, {0, 1}, 0, {}), Error);
+}
+
+// --- BaselineProfile: the baseline half computed once --------------------
+
+void expect_bit_identical(const std::vector<double>& actual,
+                          const std::vector<double>& expected) {
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i]),
+                  std::bit_cast<std::uint64_t>(expected[i]))
+            << "feature " << i;
+    }
+}
+
+const std::vector<AntennaPair> kProfilePairs = {{0, 1}, {0, 2}, {1, 2}};
+const std::vector<std::size_t> kProfileSubcarriers = {0, 5, 11, 29};
+
+/// Noisy three-antenna captures, with impulse-like amplitude outliers so
+/// the outlier mask and the wavelet pass both have work to do.
+SyntheticTarget noisy_target(std::size_t baseline_packets,
+                             std::size_t target_packets) {
+    SyntheticTarget t;
+    t.baseline = synthetic_series({1.0, 0.9, 1.1}, {0.3, 0.1, -0.2},
+                                  baseline_packets, 0.03, 0.03, 11);
+    t.target = synthetic_series({0.6, 0.7, 0.85}, {-1.2, -0.6, -0.4},
+                                target_packets, 0.03, 0.03, 12);
+    for (auto* series : {&t.baseline, &t.target}) {
+        for (std::size_t m = 3; m < series->packet_count(); m += 7) {
+            for (std::size_t k = 0; k < series->subcarrier_count(); ++k) {
+                series->frames[m].at(m % 3, k) *= 4.0;
+            }
+        }
+    }
+    return t;
+}
+
+/// The profile overload against every (baseline, target) wrapper:
+/// series and SoA extract_feature_vector, and per-subcarrier
+/// measure_material_pairs. All must agree bit for bit.
+void expect_profile_parity(const SyntheticTarget& t,
+                           const FeatureConfig& config) {
+    const csi::CsiSoa baseline_soa(t.baseline);
+    const csi::CsiSoa target_soa(t.target);
+    const BaselineProfile profile(baseline_soa, kProfilePairs,
+                                  kProfileSubcarriers, config);
+    const std::vector<double> from_profile =
+        extract_feature_vector(profile, target_soa);
+    ASSERT_EQ(from_profile.size(),
+              kProfilePairs.size() * kProfileSubcarriers.size());
+    expect_bit_identical(
+        from_profile,
+        extract_feature_vector(t.baseline, t.target, kProfilePairs,
+                               kProfileSubcarriers, config));
+    expect_bit_identical(
+        from_profile,
+        extract_feature_vector(baseline_soa, target_soa, kProfilePairs,
+                               kProfileSubcarriers, config));
+    std::vector<double> per_subcarrier;
+    for (const std::size_t sc : kProfileSubcarriers) {
+        for (const MaterialMeasurement& m : measure_material_pairs(
+                 t.baseline, t.target, kProfilePairs, sc, config)) {
+            per_subcarrier.push_back(m.omega);
+        }
+    }
+    expect_bit_identical(from_profile, per_subcarrier);
+    // A single-pair profile is measure_material.
+    expect_bit_identical(
+        {extract_feature_vector(
+             BaselineProfile(baseline_soa, {kProfilePairs.front()},
+                             {kProfileSubcarriers.back()}, config),
+             target_soa)
+             .front()},
+        {measure_material(t.baseline, t.target, kProfilePairs.front(),
+                          kProfileSubcarriers.back(), config)
+             .omega});
+}
+
+TEST(BaselineProfile, DefaultConfigMatchesEveryWrapper) {
+    expect_profile_parity(noisy_target(40, 64), {});
+}
+
+TEST(BaselineProfile, DenoisingOffMatchesEveryWrapper) {
+    FeatureConfig config;
+    config.use_amplitude_denoising = false;
+    expect_profile_parity(noisy_target(40, 64), config);
+}
+
+TEST(BaselineProfile, ImpulseRemovalOffMatchesEveryWrapper) {
+    FeatureConfig config;
+    config.denoise.remove_impulses = false;
+    expect_profile_parity(noisy_target(40, 64), config);
+}
+
+TEST(BaselineProfile, ShortBaselineSkipsWaveletAndMatches) {
+    // Fewer than 8 baseline packets: the baseline half runs no wavelet
+    // pass while the target half does.
+    expect_profile_parity(noisy_target(5, 64), {});
+}
+
+TEST(BaselineProfile, AllOutlierBaselineFallsBackAndMatches) {
+    // Two amplitude levels in equal measure put every packet exactly one
+    // sigma from the mean, so a 0.5-sigma gate flags them all and the
+    // ratio falls back to the unmasked series.
+    SyntheticTarget t = noisy_target(40, 64);
+    t.baseline = synthetic_series({1.0, 0.9, 1.1}, {0.3, 0.1, -0.2}, 40);
+    for (std::size_t m = 0; m < t.baseline.packet_count(); m += 2) {
+        for (std::size_t k = 0; k < t.baseline.subcarrier_count(); ++k) {
+            t.baseline.frames[m].at(0, k) *= 1.5;
+            t.baseline.frames[m].at(1, k) *= 1.5;
+            t.baseline.frames[m].at(2, k) *= 1.5;
+        }
+    }
+    FeatureConfig config;
+    config.denoise.outlier_k_sigma = 0.5;
+    expect_profile_parity(t, config);
+}
+
+TEST(BaselineProfile, HoldsOneRatioPerCellInExtractOrder) {
+    const SyntheticTarget t = noisy_target(40, 64);
+    const BaselineProfile profile(csi::CsiSoa(t.baseline), kProfilePairs,
+                                  kProfileSubcarriers, {});
+    EXPECT_EQ(profile.ratios().size(),
+              kProfilePairs.size() * kProfileSubcarriers.size());
+    EXPECT_EQ(profile.antenna_count(), 3u);
+    EXPECT_EQ(profile.subcarrier_count(), t.baseline.subcarrier_count());
+    // Subcarrier-major: a one-subcarrier profile's ratios are the row of
+    // the full profile for that subcarrier.
+    const BaselineProfile row(csi::CsiSoa(t.baseline), kProfilePairs,
+                              {kProfileSubcarriers[2]}, {});
+    for (std::size_t p = 0; p < kProfilePairs.size(); ++p) {
+        EXPECT_EQ(row.ratios()[p],
+                  profile.ratios()[2 * kProfilePairs.size() + p]);
+    }
+}
+
+TEST(BaselineProfile, RejectsTargetOfOtherDimensions) {
+    const SyntheticTarget t = noisy_target(40, 64);
+    const BaselineProfile profile(csi::CsiSoa(t.baseline), {{0, 1}}, {0},
+                                  {});
+    const csi::CsiSeries two_antennas =
+        synthetic_series({1.0, 0.9}, {0.3, 0.1}, 32);
+    EXPECT_THROW(extract_feature_vector(profile, csi::CsiSoa(two_antennas)),
+                 Error);
+    const csi::CsiSeries fewer_subcarriers = synthetic_series(
+        {1.0, 0.9, 1.1}, {0.3, 0.1, -0.2}, 32, 0.0, 0.0, 1, 20);
+    EXPECT_THROW(
+        extract_feature_vector(profile, csi::CsiSoa(fewer_subcarriers)),
+        Error);
+}
+
+TEST(BaselineProfile, RejectsSelectionOrConfigItWasNotBuiltFor) {
+    const SyntheticTarget t = noisy_target(40, 64);
+    const BaselineProfile profile(csi::CsiSoa(t.baseline), kProfilePairs,
+                                  kProfileSubcarriers, {});
+    EXPECT_NO_THROW(
+        profile.ensure_built_for(kProfilePairs, kProfileSubcarriers, {}));
+    EXPECT_THROW(profile.ensure_built_for({{0, 1}, {0, 2}},
+                                          kProfileSubcarriers, {}),
+                 Error);
+    EXPECT_THROW(profile.ensure_built_for({{0, 1}, {1, 2}, {0, 2}},
+                                          kProfileSubcarriers, {}),
+                 Error);
+    EXPECT_THROW(profile.ensure_built_for(kProfilePairs, {0, 5, 11}, {}),
+                 Error);
+    FeatureConfig other;
+    other.denoise.wavelet.levels = 3;
+    EXPECT_THROW(
+        profile.ensure_built_for(kProfilePairs, kProfileSubcarriers, other),
+        Error);
+    other = {};
+    other.phase_ridge_rad = 0.2;
+    EXPECT_THROW(
+        profile.ensure_built_for(kProfilePairs, kProfileSubcarriers, other),
+        Error);
+}
+
+TEST(BaselineProfile, ValidatesItsBaselineAndSelection) {
+    const SyntheticTarget t = noisy_target(40, 64);
+    const csi::CsiSoa baseline(t.baseline);
+    EXPECT_THROW(BaselineProfile(baseline, {}, {0}, {}), Error);
+    EXPECT_THROW(BaselineProfile(baseline, {{0, 1}}, {}, {}), Error);
+    EXPECT_THROW(BaselineProfile(baseline, {{0, 3}}, {0}, {}), Error);
+    EXPECT_THROW(BaselineProfile(baseline, {{0, 1}}, {30}, {}), Error);
+    // A baseline whose denominator antenna is dead at every packet has no
+    // usable ratio.
+    csi::CsiSeries dead = t.baseline;
+    for (auto& frame : dead.frames) {
+        frame.at(1, 0) = Complex(0.0, 0.0);
+    }
+    EXPECT_THROW(BaselineProfile(csi::CsiSoa(dead), {{0, 1}}, {0}, {}),
+                 Error);
+    // A dead numerator antenna leaves a zero stable ratio, which the
+    // profile rejects when it is built rather than per target.
+    try {
+        BaselineProfile(csi::CsiSoa(dead), {{1, 0}}, {0}, {});
+        FAIL() << "zero baseline ratio accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("zero baseline antenna ratio"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 // Property: the feature is invariant under a global amplitude scale

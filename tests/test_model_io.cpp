@@ -24,6 +24,7 @@
 #include "common/rng.hpp"
 #include "serve/model.hpp"
 #include "trace_fault_util.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::serve {
 namespace {
@@ -184,7 +185,7 @@ TEST(ModelIo, SaveIsDeterministic) {
 TEST(ModelIo, FileRoundTripAndDigest) {
     const TrainedModel model = make_test_model();
     const auto path =
-        std::filesystem::temp_directory_path() / "wimi_model_io_test.wmdl";
+        testutil::scratch_dir() / "wimi_model_io_test.wmdl";
     save_model_file(path, model);
     ModelInfo info;
     const TrainedModel loaded = load_model_file(path, &info);
@@ -215,7 +216,7 @@ TEST(ModelIo, DigestDistinguishesSameShapeContent) {
     ASSERT_NE(mutated, bytes);
     ASSERT_EQ(mutated.size(), bytes.size());
 
-    const auto dir = std::filesystem::temp_directory_path();
+    const auto dir = testutil::scratch_dir();
     const auto path_a = dir / "wimi_model_io_digest_a.wmdl";
     const auto path_b = dir / "wimi_model_io_digest_b.wmdl";
     {

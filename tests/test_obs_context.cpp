@@ -22,6 +22,7 @@
 #include "obs/log.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::obs {
 namespace {
@@ -228,7 +229,7 @@ TEST(ObsContext, WorkerLogLinesCarryOriginatingTraceId) {
     set_enabled(true);
     trace_reset();
     const std::string path =
-        (std::filesystem::temp_directory_path() / "wimi_ctx_log.jsonl")
+        (testutil::scratch_dir() / "wimi_ctx_log.jsonl")
             .string();
     std::filesystem::remove(path);
     Logger::instance().set_path(path);

@@ -20,12 +20,13 @@
 #include "common/error.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::obs {
 namespace {
 
 std::string temp_path(const std::string& name) {
-    return (std::filesystem::temp_directory_path() / name).string();
+    return (testutil::scratch_dir() / name).string();
 }
 
 std::vector<json::Value> read_jsonl(const std::string& path) {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::obs {
 namespace {
@@ -127,7 +128,7 @@ TEST(ObsFlight, DumpJsonIsValidFlightV1Jsonl) {
 
 TEST(ObsFlight, AutoSnapshotFiresOnErrorBurst) {
     const std::string path =
-        (std::filesystem::temp_directory_path() /
+        (testutil::scratch_dir() /
          "wimi_flight_burst_test.jsonl")
             .string();
     std::remove(path.c_str());

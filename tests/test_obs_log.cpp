@@ -21,6 +21,7 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/trace.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::obs {
 namespace {
@@ -40,7 +41,7 @@ protected:
     void SetUp() override {
         WIMI_SKIP_WITHOUT_OBS();
         set_enabled(true);
-        path_ = (std::filesystem::temp_directory_path() /
+        path_ = (testutil::scratch_dir() /
                  ("wimi_log_test_" +
                   std::string(::testing::UnitTest::GetInstance()
                                   ->current_test_info()

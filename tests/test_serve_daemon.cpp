@@ -35,6 +35,7 @@
 #include "serve/inference.hpp"
 #include "serve/model_io.hpp"
 #include "sim/harness.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::serve {
 namespace {
@@ -60,7 +61,7 @@ struct ServeFixture {
     std::size_t feature_width = 0;
 
     ServeFixture() {
-        const auto dir = std::filesystem::temp_directory_path();
+        const auto dir = testutil::scratch_dir();
         model_a = dir / "wimi_serve_test_a.wmdl";
         model_b = dir / "wimi_serve_test_b.wmdl";
         save_model_file(model_a,
@@ -80,7 +81,7 @@ const ServeFixture& fixture() {
 }
 
 std::string test_socket(const std::string& name) {
-    return (std::filesystem::temp_directory_path() /
+    return (testutil::scratch_dir() /
             ("wimi_serve_test_" + name + ".sock"))
         .string();
 }

@@ -92,6 +92,47 @@ TEST(Stats, SigmaOutlierIndices) {
     EXPECT_EQ(outliers[0], 13u);
 }
 
+TEST(Stats, MaskSigmaOutliersClearsExactlyTheOutlierIndices) {
+    Rng rng(19);
+    std::vector<double> v(200);
+    for (double& x : v) {
+        x = rng.gaussian(0.0, 1.0);
+    }
+    v[3] = 9.0;
+    v[150] = -8.0;
+    const auto outliers = sigma_outlier_indices(v, 2.0);
+    ASSERT_GE(outliers.size(), 2u);
+    std::vector<char> inlier(v.size(), 1);
+    mask_sigma_outliers(v, 2.0, inlier);
+    std::vector<std::size_t> cleared;
+    for (std::size_t i = 0; i < inlier.size(); ++i) {
+        if (inlier[i] == 0) {
+            cleared.push_back(i);
+        }
+    }
+    EXPECT_EQ(cleared, outliers);
+
+    std::vector<char> wrong_size(v.size() - 1, 1);
+    EXPECT_THROW(mask_sigma_outliers(v, 2.0, wrong_size), Error);
+    EXPECT_THROW(mask_sigma_outliers(v, 0.0, inlier), Error);
+}
+
+TEST(Stats, RobustSigmaScratchMatchesAllocating) {
+    std::vector<double> sorted;
+    std::vector<double> deviations;
+    Rng rng(23);
+    for (const std::size_t n : {9u, 64u, 2u, 301u}) {
+        std::vector<double> v(n);
+        for (double& x : v) {
+            x = rng.uniform(-3.0, 3.0);
+        }
+        EXPECT_EQ(robust_sigma(v, sorted, deviations), robust_sigma(v));
+    }
+    const std::vector<double> bad = {1.0,
+                                     std::numeric_limits<double>::infinity()};
+    EXPECT_THROW(robust_sigma(bad, sorted, deviations), Error);
+}
+
 TEST(Stats, RejectSigmaOutliersReplacesWithInlierMean) {
     std::vector<double> v(50, 2.0);
     v[7] = 1000.0;

@@ -28,6 +28,7 @@
 #include "csi/trace_io.hpp"
 #include "pipeline_test_util.hpp"
 #include "stream/pipeline.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi {
 namespace {
@@ -76,7 +77,7 @@ TEST(StreamMemory, LongTraceStreamsInWindowMemory) {
     ASSERT_GT(peak_rss_kib(), 0u) << "cannot read VmHWM";
 
     const std::filesystem::path path =
-        std::filesystem::temp_directory_path() / "wimi_stream_memory.wcsi";
+        testutil::scratch_dir() / "wimi_stream_memory.wcsi";
 
     // Write the trace frame by frame — the writer itself must not need
     // the series in memory either.

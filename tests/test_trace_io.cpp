@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "scratch_dir.hpp"
 
 namespace wimi::csi {
 namespace {
@@ -64,7 +65,7 @@ TEST(TraceIo, EmptySeriesRoundTrip) {
 TEST(TraceIo, FileRoundTrip) {
     const auto series = sample_series(3);
     const auto path =
-        std::filesystem::temp_directory_path() / "wimi_trace_test.wcsi";
+        testutil::scratch_dir() / "wimi_trace_test.wcsi";
     write_trace_file(path, series);
     const auto back = read_trace_file(path);
     expect_equal(series, back);
@@ -228,7 +229,7 @@ TEST(TraceIo, SkipCorruptDropsOnlyDamagedFrame) {
 
 TEST(TraceWriterTest, FrameAtATimeWriteMatchesWholeSeriesWrite) {
     const auto series = sample_series(9);
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_trace_writer_test.wcsi";
     {
         TraceWriter writer(path, series.antenna_count(),
@@ -251,7 +252,7 @@ TEST(TraceWriterTest, FrameAtATimeWriteMatchesWholeSeriesWrite) {
 
 TEST(TraceWriterTest, FileIsAValidContainerAfterEveryAppend) {
     const auto series = sample_series(5);
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_trace_writer_growth.wcsi";
     TraceWriter writer(path, series.antenna_count(),
                        series.subcarrier_count());
@@ -277,7 +278,7 @@ TEST(TraceWriterTest, FileIsAValidContainerAfterEveryAppend) {
 }
 
 TEST(TraceWriterTest, RejectsBadGeometryAndClosedWriter) {
-    const auto path = std::filesystem::temp_directory_path() /
+    const auto path = testutil::scratch_dir() /
                       "wimi_trace_writer_reject.wcsi";
     EXPECT_THROW(TraceWriter(path, 0, 5), Error);
     EXPECT_THROW(TraceWriter(path, 2, 0), Error);

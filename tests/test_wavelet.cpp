@@ -144,6 +144,26 @@ TEST(Atrous, PlanesSumToInput) {
     EXPECT_LT(max_abs_diff(x, back), 1e-12);
 }
 
+TEST(Atrous, ReusedPlanesMatchFreshDecomposition) {
+    AtrousDecomposition reused;
+    std::uint64_t seed = 11;
+    for (const std::size_t n : {100u, 17u, 400u, 17u}) {
+        const auto x = random_signal(n, ++seed);
+        const auto fresh = atrous_decompose(x, 4);
+        atrous_decompose(x, 4, reused);
+        ASSERT_EQ(reused.details.size(), fresh.details.size());
+        for (std::size_t l = 0; l < fresh.details.size(); ++l) {
+            EXPECT_EQ(reused.details[l], fresh.details[l]) << "level " << l;
+        }
+        EXPECT_EQ(reused.approx, fresh.approx);
+        std::vector<double> back(n);
+        atrous_reconstruct(reused, back);
+        EXPECT_EQ(back, atrous_reconstruct(fresh));
+    }
+    std::vector<double> wrong_size(3);
+    EXPECT_THROW(atrous_reconstruct(reused, wrong_size), Error);
+}
+
 TEST(Atrous, SmoothSignalConcentratesInApprox) {
     std::vector<double> x(256);
     for (std::size_t i = 0; i < x.size(); ++i) {

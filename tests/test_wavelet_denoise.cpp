@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -182,6 +184,70 @@ TEST(DenoiseEdgeCases, MinimumLengthInputDenoises) {
     EXPECT_EQ(out.size(), eight.size());
     const auto soft = universal_threshold_denoise(eight, 1);
     EXPECT_EQ(soft.size(), eight.size());
+}
+
+void expect_bit_identical(const std::vector<double>& actual,
+                          const std::vector<double>& expected) {
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(actual[i]),
+                  std::bit_cast<std::uint64_t>(expected[i]))
+            << "sample " << i;
+    }
+}
+
+TEST(DenoiseScratch, ReusedScratchMatchesFreshCallsAcrossLengths) {
+    // Growing and shrinking through one scratch object: stale planes from
+    // a longer series must never leak into a shorter one.
+    WaveletDenoiseScratch scratch;
+    std::uint64_t seed = 40;
+    for (const std::size_t n : {64u, 20u, 1000u, 20u}) {
+        const auto noisy =
+            add_impulses(smooth_signal(n), 4.0, ++seed, 0.05);
+        WaveletDenoiseReport fresh_report;
+        const auto fresh =
+            wavelet_correlation_denoise(noisy, {}, &fresh_report);
+        WaveletDenoiseReport reused_report;
+        std::vector<double> reused(n);
+        wavelet_correlation_denoise(noisy, reused, {}, scratch,
+                                    &reused_report);
+        expect_bit_identical(reused, fresh);
+        EXPECT_EQ(reused_report.iterations_per_scale,
+                  fresh_report.iterations_per_scale);
+        expect_bit_identical(reused_report.residual_power_per_scale,
+                             fresh_report.residual_power_per_scale);
+        expect_bit_identical(reused_report.noise_threshold_per_scale,
+                             fresh_report.noise_threshold_per_scale);
+    }
+}
+
+TEST(DenoiseScratch, InPlaceMatchesFreshCall) {
+    const auto noisy = add_impulses(smooth_signal(96), 5.0, 77, 0.05);
+    const auto fresh = wavelet_correlation_denoise(noisy);
+    WaveletDenoiseScratch scratch;
+    std::vector<double> in_place = noisy;
+    wavelet_correlation_denoise(in_place, in_place, {}, scratch);
+    expect_bit_identical(in_place, fresh);
+}
+
+TEST(DenoiseScratch, KeepsTheAllocatingChecks) {
+    WaveletDenoiseScratch scratch;
+    std::vector<double> out(32);
+    const std::vector<double> short_input(7, 1.0);
+    std::vector<double> short_out(7);
+    EXPECT_THROW(wavelet_correlation_denoise(short_input, short_out, {},
+                                             scratch),
+                 Error);
+    std::vector<double> v(32, 1.0);
+    WaveletDenoiseConfig one_level;
+    one_level.levels = 1;
+    EXPECT_THROW(wavelet_correlation_denoise(v, out, one_level, scratch),
+                 Error);
+    std::vector<double> wrong_size(31);
+    EXPECT_THROW(wavelet_correlation_denoise(v, wrong_size, {}, scratch),
+                 Error);
+    v[13] = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_THROW(wavelet_correlation_denoise(v, out, {}, scratch), Error);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "serve/model_io.hpp"
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <fstream>
@@ -10,28 +9,24 @@
 #include <utility>
 #include <vector>
 
-#include "common/crc32.hpp"
+#include "common/binio.hpp"
 #include "common/error.hpp"
 
 namespace wimi::serve {
 namespace {
 
-constexpr std::uint32_t kByteOrderMarker = 0x01020304u;
+using binio::ByteCursor;
+using binio::ByteWriter;
+using binio::fourcc;
+
 constexpr std::size_t kHeaderBytes = 4 + 4 + 4 + 4 + 8 + 4;
 constexpr std::size_t kSectionFrameBytes = 4 + 8 + 4;  // id + len + crc
 
-constexpr std::uint32_t fourcc(char a, char b, char c, char d) {
-    return static_cast<std::uint32_t>(static_cast<unsigned char>(a)) |
-           (static_cast<std::uint32_t>(static_cast<unsigned char>(b)) << 8) |
-           (static_cast<std::uint32_t>(static_cast<unsigned char>(c)) << 16) |
-           (static_cast<std::uint32_t>(static_cast<unsigned char>(d)) << 24);
-}
-
-constexpr std::uint32_t kMagic = fourcc('W', 'M', 'D', 'L');
-constexpr std::uint32_t kSectionMeta = fourcc('M', 'E', 'T', 'A');
-constexpr std::uint32_t kSectionCalib = fourcc('C', 'A', 'L', 'B');
-constexpr std::uint32_t kSectionScaler = fourcc('S', 'C', 'A', 'L');
-constexpr std::uint32_t kSectionSvm = fourcc('S', 'V', 'M', 'C');
+constexpr std::uint32_t kMagic = fourcc("WMDL");
+constexpr std::uint32_t kSectionMeta = fourcc("META");
+constexpr std::uint32_t kSectionCalib = fourcc("CALB");
+constexpr std::uint32_t kSectionScaler = fourcc("SCAL");
+constexpr std::uint32_t kSectionSvm = fourcc("SVMC");
 constexpr std::uint32_t kSectionOrder[] = {kSectionMeta, kSectionCalib,
                                            kSectionScaler, kSectionSvm};
 
@@ -39,120 +34,19 @@ constexpr std::uint32_t kSectionOrder[] = {kSectionMeta, kSectionCalib,
 // allocation before the CRC gets a chance to reject the section.
 constexpr std::uint32_t kMaxCount = 1u << 20;
 
-// --- explicit little-endian field codec ---------------------------------
-
-void put_u32_le(std::vector<unsigned char>& out, std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-        out.push_back(static_cast<unsigned char>((v >> shift) & 0xFFu));
+/// A count field, capped so corrupt values cannot drive allocations.
+std::size_t get_count(ByteCursor& cursor, const char* what) {
+    const std::uint32_t v = cursor.get_u32();
+    if (v > kMaxCount) {
+        fail(std::string("load_model: implausible count for ") + what);
     }
+    return v;
 }
 
-void put_u64_le(std::vector<unsigned char>& out, std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-        out.push_back(static_cast<unsigned char>((v >> shift) & 0xFFu));
-    }
-}
-
-void put_i32_le(std::vector<unsigned char>& out, std::int32_t v) {
-    put_u32_le(out, static_cast<std::uint32_t>(v));
-}
-
-void put_f64_le(std::vector<unsigned char>& out, double v) {
-    put_u64_le(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_u8(std::vector<unsigned char>& out, bool v) {
-    out.push_back(v ? 1 : 0);
-}
-
-/// Bounds-checked reader over a decoded byte region. Every get_* call
-/// verifies the remaining size first, so truncated or lying input is a
-/// clean wimi::Error instead of an out-of-bounds read.
-class Cursor {
-public:
-    Cursor(const unsigned char* data, std::size_t size)
-        : data_(data), size_(size) {}
-
-    std::size_t remaining() const { return size_ - pos_; }
-    bool exhausted() const { return pos_ == size_; }
-
-    std::uint32_t get_u32() {
-        need(4, "u32");
-        std::uint32_t v = 0;
-        for (int i = 3; i >= 0; --i) {
-            v = (v << 8) |
-                static_cast<std::uint32_t>(data_[pos_ + static_cast<std::size_t>(i)]);
-        }
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t get_u64() {
-        need(8, "u64");
-        std::uint64_t v = 0;
-        for (int i = 7; i >= 0; --i) {
-            v = (v << 8) |
-                static_cast<std::uint64_t>(data_[pos_ + static_cast<std::size_t>(i)]);
-        }
-        pos_ += 8;
-        return v;
-    }
-
-    std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
-    double get_f64() { return std::bit_cast<double>(get_u64()); }
-
-    bool get_u8_bool() {
-        need(1, "u8");
-        const unsigned char v = data_[pos_++];
-        ensure(v <= 1, "load_model: boolean field out of range");
-        return v == 1;
-    }
-
-    /// A count field, capped so corrupt values cannot drive allocations.
-    std::size_t get_count(const char* what) {
-        const std::uint32_t v = get_u32();
-        ensure(v <= kMaxCount,
-               std::string("load_model: implausible count for ") + what);
-        return v;
-    }
-
-    std::string get_string(std::size_t bytes) {
-        need(bytes, "string");
-        std::string s(reinterpret_cast<const char*>(data_) + pos_, bytes);
-        pos_ += bytes;
-        return s;
-    }
-
-    std::vector<double> get_f64_array(std::size_t count, const char* what) {
-        ensure(remaining() / 8 >= count,
-               std::string("load_model: truncated ") + what);
-        std::vector<double> out;
-        out.reserve(count);
-        for (std::size_t i = 0; i < count; ++i) {
-            out.push_back(get_f64());
-        }
-        return out;
-    }
-
-private:
-    void need(std::size_t bytes, const char* what) {
-        ensure(size_ - pos_ >= bytes,
-               std::string("load_model: truncated ") + what + " field");
-    }
-
-    const unsigned char* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
-
-std::string hex32(std::uint32_t v) {
-    static const char* digits = "0123456789abcdef";
-    std::string out(8, '0');
-    for (int i = 7; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[v & 0xFu];
-        v >>= 4;
-    }
-    return out;
+bool get_bool(ByteCursor& cursor) {
+    const std::uint8_t v = cursor.get_u8();
+    ensure(v <= 1, "load_model: boolean field out of range");
+    return v == 1;
 }
 
 std::string hex64(std::uint64_t v) {
@@ -196,89 +90,80 @@ double finite_or_throw(double v, const char* what) {
 
 // --- section encoders ----------------------------------------------------
 
-std::vector<unsigned char> encode_meta(const TrainedModel& model) {
-    std::vector<unsigned char> body;
-    put_u32_le(body, 0);  // flags, reserved
-    put_u32_le(body, static_cast<std::uint32_t>(model.feature_width()));
-    put_u32_le(body, static_cast<std::uint32_t>(model.class_names.size()));
+void encode_meta(ByteWriter& body, const TrainedModel& model) {
+    body.u32(0);  // flags, reserved
+    body.u32(static_cast<std::uint32_t>(model.feature_width()));
+    body.u32(static_cast<std::uint32_t>(model.class_names.size()));
     for (const std::string& name : model.class_names) {
-        put_u32_le(body, static_cast<std::uint32_t>(name.size()));
-        body.insert(body.end(), name.begin(), name.end());
+        body.u32(static_cast<std::uint32_t>(name.size()));
+        body.bytes(name.data(), name.size());
     }
-    return body;
 }
 
-std::vector<unsigned char> encode_calib(const TrainedModel& model) {
-    std::vector<unsigned char> body;
+void encode_calib(ByteWriter& body, const TrainedModel& model) {
     const core::FeatureConfig& f = model.feature;
-    put_f64_le(body, f.denoise.outlier_k_sigma);
-    put_u8(body, f.denoise.remove_impulses);
-    put_u64_le(body, f.denoise.wavelet.levels);
-    put_u64_le(body, f.denoise.wavelet.max_iterations);
-    put_f64_le(body, f.denoise.wavelet.noise_threshold_scale);
-    put_u8(body, f.use_amplitude_denoising);
-    put_i32_le(body, f.gamma.max_wraps);
-    put_f64_le(body, f.gamma.min_abs_omega);
-    put_f64_le(body, f.gamma.max_abs_omega);
-    put_f64_le(body, f.phase_ridge_rad);
-    put_u32_le(body, static_cast<std::uint32_t>(model.pairs.size()));
+    body.f64(f.denoise.outlier_k_sigma);
+    body.u8(f.denoise.remove_impulses);
+    body.u64(f.denoise.wavelet.levels);
+    body.u64(f.denoise.wavelet.max_iterations);
+    body.f64(f.denoise.wavelet.noise_threshold_scale);
+    body.u8(f.use_amplitude_denoising);
+    body.i32(f.gamma.max_wraps);
+    body.f64(f.gamma.min_abs_omega);
+    body.f64(f.gamma.max_abs_omega);
+    body.f64(f.phase_ridge_rad);
+    body.u32(static_cast<std::uint32_t>(model.pairs.size()));
     for (const core::AntennaPair pair : model.pairs) {
-        put_u32_le(body, static_cast<std::uint32_t>(pair.first));
-        put_u32_le(body, static_cast<std::uint32_t>(pair.second));
+        body.u32(static_cast<std::uint32_t>(pair.first));
+        body.u32(static_cast<std::uint32_t>(pair.second));
     }
-    put_u32_le(body, static_cast<std::uint32_t>(model.subcarriers.size()));
+    body.u32(static_cast<std::uint32_t>(model.subcarriers.size()));
     for (const std::size_t sc : model.subcarriers) {
-        put_u32_le(body, static_cast<std::uint32_t>(sc));
+        body.u32(static_cast<std::uint32_t>(sc));
     }
-    return body;
 }
 
-std::vector<unsigned char> encode_scaler(const TrainedModel& model) {
-    std::vector<unsigned char> body;
+void encode_scaler(ByteWriter& body, const TrainedModel& model) {
     const auto means = model.scaler.means();
     const auto stddevs = model.scaler.stddevs();
-    put_u32_le(body, static_cast<std::uint32_t>(means.size()));
+    body.u32(static_cast<std::uint32_t>(means.size()));
     for (const double m : means) {
-        put_f64_le(body, m);
+        body.f64(m);
     }
     for (const double s : stddevs) {
-        put_f64_le(body, s);
+        body.f64(s);
     }
-    return body;
 }
 
-std::vector<unsigned char> encode_svm(const TrainedModel& model) {
-    std::vector<unsigned char> body;
+void encode_svm(ByteWriter& body, const TrainedModel& model) {
     const ml::SvmConfig& config = model.svm.config();
-    put_u32_le(body, static_cast<std::uint32_t>(config.kernel));
-    put_f64_le(body, config.c);
-    put_f64_le(body, config.gamma);
-    put_f64_le(body, config.tolerance);
-    put_u64_le(body, config.convergence_passes);
-    put_u64_le(body, config.max_passes);
-    put_u64_le(body, config.seed);
+    body.u32(static_cast<std::uint32_t>(config.kernel));
+    body.f64(config.c);
+    body.f64(config.gamma);
+    body.f64(config.tolerance);
+    body.u64(config.convergence_passes);
+    body.u64(config.max_passes);
+    body.u64(config.seed);
     const auto classes = model.svm.classes();
-    put_u32_le(body, static_cast<std::uint32_t>(classes.size()));
+    body.u32(static_cast<std::uint32_t>(classes.size()));
     for (const int c : classes) {
-        put_i32_le(body, c);
+        body.i32(c);
     }
     const auto machines = model.svm.machines();
-    put_u32_le(body, static_cast<std::uint32_t>(machines.size()));
+    body.u32(static_cast<std::uint32_t>(machines.size()));
     for (const auto& machine : machines) {
-        put_i32_le(body, machine.positive_label);
-        put_i32_le(body, machine.negative_label);
-        put_u32_le(body, static_cast<std::uint32_t>(machine.svm.width()));
-        put_u32_le(body,
-                   static_cast<std::uint32_t>(machine.svm.alphas().size()));
+        body.i32(machine.positive_label);
+        body.i32(machine.negative_label);
+        body.u32(static_cast<std::uint32_t>(machine.svm.width()));
+        body.u32(static_cast<std::uint32_t>(machine.svm.alphas().size()));
         for (const double v : machine.svm.support_vectors()) {
-            put_f64_le(body, v);
+            body.f64(v);
         }
         for (const double a : machine.svm.alphas()) {
-            put_f64_le(body, a);
+            body.f64(a);
         }
-        put_f64_le(body, machine.svm.bias());
+        body.f64(machine.svm.bias());
     }
-    return body;
 }
 
 // --- section decoders ----------------------------------------------------
@@ -288,15 +173,15 @@ struct MetaSection {
     std::vector<std::string> class_names;
 };
 
-MetaSection decode_meta(Cursor cursor) {
+MetaSection decode_meta(ByteCursor cursor) {
     MetaSection meta;
     const std::uint32_t flags = cursor.get_u32();
     ensure(flags == 0, "load_model: unknown META flags");
-    meta.feature_width = cursor.get_count("feature width");
-    const std::size_t classes = cursor.get_count("class names");
+    meta.feature_width = get_count(cursor, "feature width");
+    const std::size_t classes = get_count(cursor, "class names");
     for (std::size_t i = 0; i < classes; ++i) {
-        const std::size_t len = cursor.get_count("class name length");
-        meta.class_names.push_back(cursor.get_string(len));
+        const std::size_t len = get_count(cursor, "class name length");
+        meta.class_names.push_back(cursor.get_string(len, "class name"));
     }
     ensure(cursor.exhausted(), "load_model: trailing bytes in META");
     return meta;
@@ -308,31 +193,31 @@ struct CalibSection {
     std::vector<std::size_t> subcarriers;
 };
 
-CalibSection decode_calib(Cursor cursor) {
+CalibSection decode_calib(ByteCursor cursor) {
     CalibSection calib;
     core::FeatureConfig& f = calib.feature;
     f.denoise.outlier_k_sigma =
         finite_or_throw(cursor.get_f64(), "outlier_k_sigma");
-    f.denoise.remove_impulses = cursor.get_u8_bool();
+    f.denoise.remove_impulses = get_bool(cursor);
     f.denoise.wavelet.levels = cursor.get_u64();
     f.denoise.wavelet.max_iterations = cursor.get_u64();
     f.denoise.wavelet.noise_threshold_scale =
         finite_or_throw(cursor.get_f64(), "noise_threshold_scale");
-    f.use_amplitude_denoising = cursor.get_u8_bool();
+    f.use_amplitude_denoising = get_bool(cursor);
     f.gamma.max_wraps = cursor.get_i32();
     f.gamma.min_abs_omega =
         finite_or_throw(cursor.get_f64(), "min_abs_omega");
     f.gamma.max_abs_omega =
         finite_or_throw(cursor.get_f64(), "max_abs_omega");
     f.phase_ridge_rad = finite_or_throw(cursor.get_f64(), "phase_ridge_rad");
-    const std::size_t pair_count = cursor.get_count("antenna pairs");
+    const std::size_t pair_count = get_count(cursor, "antenna pairs");
     for (std::size_t i = 0; i < pair_count; ++i) {
         core::AntennaPair pair;
         pair.first = cursor.get_u32();
         pair.second = cursor.get_u32();
         calib.pairs.push_back(pair);
     }
-    const std::size_t sc_count = cursor.get_count("subcarriers");
+    const std::size_t sc_count = get_count(cursor, "subcarriers");
     for (std::size_t i = 0; i < sc_count; ++i) {
         calib.subcarriers.push_back(cursor.get_u32());
     }
@@ -340,8 +225,8 @@ CalibSection decode_calib(Cursor cursor) {
     return calib;
 }
 
-ml::StandardScaler decode_scaler(Cursor cursor) {
-    const std::size_t width = cursor.get_count("scaler width");
+ml::StandardScaler decode_scaler(ByteCursor cursor) {
+    const std::size_t width = get_count(cursor, "scaler width");
     std::vector<double> means = cursor.get_f64_array(width, "scaler means");
     std::vector<double> stddevs =
         cursor.get_f64_array(width, "scaler stddevs");
@@ -350,7 +235,7 @@ ml::StandardScaler decode_scaler(Cursor cursor) {
     return ml::StandardScaler::restore(std::move(means), std::move(stddevs));
 }
 
-ml::MulticlassSvm decode_svm(Cursor cursor) {
+ml::MulticlassSvm decode_svm(ByteCursor cursor) {
     ml::SvmConfig config;
     const std::uint32_t kernel = cursor.get_u32();
     ensure(kernel <= static_cast<std::uint32_t>(ml::Kernel::kRbf),
@@ -362,20 +247,20 @@ ml::MulticlassSvm decode_svm(Cursor cursor) {
     config.convergence_passes = cursor.get_u64();
     config.max_passes = cursor.get_u64();
     config.seed = cursor.get_u64();
-    const std::size_t class_count = cursor.get_count("svm classes");
+    const std::size_t class_count = get_count(cursor, "svm classes");
     std::vector<int> classes;
     classes.reserve(class_count);
     for (std::size_t i = 0; i < class_count; ++i) {
         classes.push_back(cursor.get_i32());
     }
-    const std::size_t machine_count = cursor.get_count("svm machines");
+    const std::size_t machine_count = get_count(cursor, "svm machines");
     std::vector<ml::MulticlassSvm::PairMachine> machines;
     machines.reserve(machine_count);
     for (std::size_t m = 0; m < machine_count; ++m) {
         const int positive = cursor.get_i32();
         const int negative = cursor.get_i32();
-        const std::size_t width = cursor.get_count("machine width");
-        const std::size_t sv_count = cursor.get_count("support vectors");
+        const std::size_t width = get_count(cursor, "machine width");
+        const std::size_t sv_count = get_count(cursor, "support vectors");
         ensure(width >= 1 && sv_count >= 1,
                "load_model: empty pair machine");
         // get_f64_array bounds-checks against the remaining bytes, so a
@@ -403,40 +288,37 @@ ml::MulticlassSvm decode_svm(Cursor cursor) {
 void save_model(std::ostream& stream, const TrainedModel& model) {
     model.validate();
 
-    std::vector<std::vector<unsigned char>> sections;
-    sections.push_back(encode_meta(model));
-    sections.push_back(encode_calib(model));
-    sections.push_back(encode_scaler(model));
-    sections.push_back(encode_svm(model));
-
-    std::uint64_t payload_bytes = 0;
-    std::vector<std::vector<unsigned char>> records;
-    for (std::size_t i = 0; i < sections.size(); ++i) {
-        std::vector<unsigned char> record;
-        record.reserve(sections[i].size() + kSectionFrameBytes);
-        put_u32_le(record, kSectionOrder[i]);
-        put_u64_le(record, sections[i].size());
-        record.insert(record.end(), sections[i].begin(), sections[i].end());
-        put_u32_le(record, crc32(record.data(), record.size()));
-        payload_bytes += record.size();
-        records.push_back(std::move(record));
+    using Encoder = void (*)(ByteWriter&, const TrainedModel&);
+    constexpr Encoder kEncoders[] = {encode_meta, encode_calib,
+                                     encode_scaler, encode_svm};
+    std::vector<unsigned char> payload;
+    ByteWriter records(payload);
+    std::vector<unsigned char> body;
+    for (std::size_t i = 0; i < std::size(kEncoders); ++i) {
+        body.clear();
+        ByteWriter body_writer(body);
+        kEncoders[i](body_writer, model);
+        const std::size_t mark = records.size();
+        records.u32(kSectionOrder[i]);
+        records.u64(body.size());
+        records.bytes(body.data(), body.size());
+        records.crc32_since(mark);
     }
 
     std::vector<unsigned char> header;
     header.reserve(kHeaderBytes);
-    put_u32_le(header, kMagic);
-    put_u32_le(header, kModelCurrentVersion);
-    put_u32_le(header, kByteOrderMarker);
-    put_u32_le(header, static_cast<std::uint32_t>(records.size()));
-    put_u64_le(header, payload_bytes);
-    put_u32_le(header, crc32(header.data(), header.size()));
+    ByteWriter head(header);
+    head.u32(kMagic);
+    head.u32(kModelCurrentVersion);
+    head.u32(binio::kByteOrderMarker);
+    head.u32(static_cast<std::uint32_t>(std::size(kEncoders)));
+    head.u64(payload.size());
+    head.crc32_since(0);
 
     stream.write(reinterpret_cast<const char*>(header.data()),
                  static_cast<std::streamsize>(header.size()));
-    for (const auto& record : records) {
-        stream.write(reinterpret_cast<const char*>(record.data()),
-                     static_cast<std::streamsize>(record.size()));
-    }
+    stream.write(reinterpret_cast<const char*>(payload.data()),
+                 static_cast<std::streamsize>(payload.size()));
     ensure(static_cast<bool>(stream), "save_model: stream failure");
 }
 
@@ -461,23 +343,23 @@ TrainedModel load_model(std::istream& stream, ModelInfo* info) {
     const auto* data = reinterpret_cast<const unsigned char*>(bytes.data());
 
     ensure(bytes.size() >= kHeaderBytes, "load_model: truncated header");
-    Cursor header(data, kHeaderBytes);
+    ByteCursor file({data, bytes.size()}, "load_model:");
+    ByteCursor header = file.take(kHeaderBytes, "header");
     ensure(header.get_u32() == kMagic,
            "load_model: not a wimi.model file (bad magic)");
     const std::uint32_t version = header.get_u32();
     ensure(version == kModelVersion1,
            "load_model: unsupported wimi.model version " +
                std::to_string(version));
-    ensure(header.get_u32() == kByteOrderMarker,
+    ensure(header.get_u32() == binio::kByteOrderMarker,
            "load_model: byte-order marker mismatch");
     const std::uint32_t section_count = header.get_u32();
     const std::uint64_t payload_bytes = header.get_u64();
-    const std::uint32_t header_crc = header.get_u32();
-    ensure(header_crc == crc32(data, kHeaderBytes - 4),
+    ensure(binio::crc_trailer_ok({data, kHeaderBytes}),
            "load_model: header checksum mismatch");
     ensure(section_count == 4,
            "load_model: v1 requires exactly 4 sections");
-    ensure(payload_bytes == bytes.size() - kHeaderBytes,
+    ensure(payload_bytes == file.remaining(),
            "load_model: payload size mismatch (truncated or trailing "
            "bytes)");
 
@@ -486,26 +368,22 @@ TrainedModel load_model(std::istream& stream, ModelInfo* info) {
     ml::StandardScaler scaler;
     ml::MulticlassSvm svm;
 
-    std::size_t offset = kHeaderBytes;
     for (std::size_t s = 0; s < section_count; ++s) {
-        ensure(bytes.size() - offset >= kSectionFrameBytes,
+        ensure(file.remaining() >= kSectionFrameBytes,
                "load_model: truncated section header");
-        Cursor frame(data + offset, 4 + 8);
-        const std::uint32_t id = frame.get_u32();
-        const std::uint64_t body_bytes = frame.get_u64();
+        const std::size_t offset = bytes.size() - file.remaining();
+        const std::uint32_t id = file.get_u32();
+        const std::uint64_t body_bytes = file.get_u64();
         ensure(id == kSectionOrder[s],
                "load_model: unexpected section id or section order");
-        ensure(bytes.size() - offset - kSectionFrameBytes >= body_bytes,
+        ensure(file.remaining() - 4 >= body_bytes,
                "load_model: truncated section body");
-        const std::size_t record_bytes =
-            kSectionFrameBytes + static_cast<std::size_t>(body_bytes);
-        const std::uint32_t stored_crc =
-            Cursor(data + offset + record_bytes - 4, 4).get_u32();
-        ensure(stored_crc == crc32(data + offset, record_bytes - 4),
+        ensure(binio::crc_trailer_ok(
+                   {data + offset, kSectionFrameBytes +
+                                       static_cast<std::size_t>(body_bytes)}),
                "load_model: section checksum mismatch");
-
-        Cursor body(data + offset + 12,
-                    static_cast<std::size_t>(body_bytes));
+        ByteCursor body = file.take(body_bytes, "section body");
+        file.get_u32();  // the CRC trailer checked above
         switch (id) {
             case kSectionMeta:
                 meta = decode_meta(body);
@@ -520,9 +398,8 @@ TrainedModel load_model(std::istream& stream, ModelInfo* info) {
                 svm = decode_svm(body);
                 break;
         }
-        offset += record_bytes;
     }
-    ensure(offset == bytes.size(), "load_model: trailing bytes");
+    ensure(file.exhausted(), "load_model: trailing bytes");
 
     TrainedModel model;
     model.feature = calib.feature;

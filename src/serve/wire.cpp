@@ -2,128 +2,44 @@
 
 #include <unistd.h>
 
-#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
 #include <string_view>
 
-#include "common/crc32.hpp"
+#include "common/binio.hpp"
 #include "common/error.hpp"
 #include "csi/trace_io.hpp"
 
 namespace wimi::serve::wire {
 namespace {
 
-constexpr std::uint32_t fourcc(const char magic[4]) {
-    return static_cast<std::uint32_t>(static_cast<unsigned char>(magic[0])) |
-           (static_cast<std::uint32_t>(static_cast<unsigned char>(magic[1]))
-            << 8) |
-           (static_cast<std::uint32_t>(static_cast<unsigned char>(magic[2]))
-            << 16) |
-           (static_cast<std::uint32_t>(static_cast<unsigned char>(magic[3]))
-            << 24);
-}
+using binio::ByteCursor;
+using binio::ByteWriter;
+using binio::fourcc;
 
 constexpr char kRequestMagic[4] = {'W', 'S', 'R', 'Q'};
 constexpr char kResponseMagic[4] = {'W', 'S', 'R', 'P'};
+constexpr const char* kPrefix = "wire:";
 
-// --- explicit little-endian field codec ---------------------------------
-
-void put_u32_le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-        out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFFu));
-    }
-}
-
-void put_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-        out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFFu));
-    }
-}
-
-void put_i32_le(std::vector<std::uint8_t>& out, std::int32_t v) {
-    put_u32_le(out, static_cast<std::uint32_t>(v));
-}
-
-void put_f64_le(std::vector<std::uint8_t>& out, double v) {
-    put_u64_le(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_string(std::vector<std::uint8_t>& out, std::string_view s) {
+void put_string(ByteWriter& out, std::string_view s) {
     ensure(s.size() <= 0xFFFFFFFFu, "wire: string too long");
-    put_u32_le(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
+    out.u32(static_cast<std::uint32_t>(s.size()));
+    out.bytes(s.data(), s.size());
 }
 
-void put_bytes(std::vector<std::uint8_t>& out, std::string_view bytes) {
-    put_u64_le(out, bytes.size());
-    out.insert(out.end(), bytes.begin(), bytes.end());
+void put_bytes(ByteWriter& out, std::string_view bytes) {
+    out.u64(bytes.size());
+    out.bytes(bytes.data(), bytes.size());
 }
 
-/// Bounds-checked reader (same shape as the model_io / trace_io
-/// cursors): truncated or lying lengths become clean decode errors.
-class Cursor {
-public:
-    Cursor() : data_(nullptr), size_(0) {}
-    Cursor(const std::uint8_t* data, std::size_t size)
-        : data_(data), size_(size) {}
+std::string get_string(ByteCursor& in) {
+    return in.get_string(in.get_u32(), "string body");
+}
 
-    bool exhausted() const { return pos_ == size_; }
-
-    std::uint32_t get_u32() {
-        need(4, "u32");
-        std::uint32_t v = 0;
-        for (int i = 3; i >= 0; --i) {
-            v = (v << 8) | static_cast<std::uint32_t>(
-                               data_[pos_ + static_cast<std::size_t>(i)]);
-        }
-        pos_ += 4;
-        return v;
-    }
-
-    std::uint64_t get_u64() {
-        need(8, "u64");
-        std::uint64_t v = 0;
-        for (int i = 7; i >= 0; --i) {
-            v = (v << 8) | static_cast<std::uint64_t>(
-                               data_[pos_ + static_cast<std::size_t>(i)]);
-        }
-        pos_ += 8;
-        return v;
-    }
-
-    std::int32_t get_i32() { return static_cast<std::int32_t>(get_u32()); }
-
-    double get_f64() { return std::bit_cast<double>(get_u64()); }
-
-    std::string get_string() {
-        const std::uint32_t bytes = get_u32();
-        need(bytes, "string body");
-        std::string s(reinterpret_cast<const char*>(data_ + pos_), bytes);
-        pos_ += bytes;
-        return s;
-    }
-
-    std::string get_bytes() {
-        const std::uint64_t bytes = get_u64();
-        need(bytes, "byte region");
-        std::string s(reinterpret_cast<const char*>(data_ + pos_),
-                      static_cast<std::size_t>(bytes));
-        pos_ += static_cast<std::size_t>(bytes);
-        return s;
-    }
-
-private:
-    void need(std::uint64_t bytes, const char* what) {
-        ensure(bytes <= size_ - pos_,
-               std::string("wire: record truncated reading ") + what);
-    }
-
-    const std::uint8_t* data_;
-    std::size_t size_;
-    std::size_t pos_ = 0;
-};
+std::string get_bytes(ByteCursor& in) {
+    return in.get_string(in.get_u64(), "byte region");
+}
 
 /// Records with trace context or a payload need the v2 layout; plain
 /// records stay at v1 so pre-v2 peers keep decoding them.
@@ -146,17 +62,18 @@ std::vector<std::uint8_t> frame_record(const char magic[4],
     const std::size_t ext =
         version >= kWireVersion2 ? kWireTraceExtBytes : 0;
     record.reserve(kWireHeaderBytes + ext + body.size() + kWireTrailerBytes);
-    put_u32_le(record, fourcc(magic));
-    put_u32_le(record, version);
-    put_u32_le(record, type_or_status);
-    put_u64_le(record, request_id);
-    put_u64_le(record, body.size());
+    ByteWriter out(record);
+    out.u32(fourcc(magic));
+    out.u32(version);
+    out.u32(type_or_status);
+    out.u64(request_id);
+    out.u64(body.size());
     if (version >= kWireVersion2) {
-        put_u64_le(record, trace_id);
-        put_u64_le(record, span_id);
+        out.u64(trace_id);
+        out.u64(span_id);
     }
-    record.insert(record.end(), body.begin(), body.end());
-    put_u32_le(record, crc32(record.data(), record.size()));
+    out.bytes(body.data(), body.size());
+    out.crc32_since(0);
     return record;
 }
 
@@ -168,7 +85,7 @@ struct OpenedRecord {
     std::uint64_t request_id = 0;
     std::uint64_t trace_id = 0;
     std::uint64_t span_id = 0;
-    Cursor body;
+    ByteCursor body;
 };
 
 /// Validates framing (magic, version, lengths, CRC) and splits the
@@ -178,15 +95,15 @@ OpenedRecord open_record(std::span<const std::uint8_t> record,
     ensure(record.size() >= kWireHeaderBytes + kWireTrailerBytes,
            "wire: record shorter than header + CRC");
     OpenedRecord opened;
-    Cursor header(record.data(), record.size());
-    ensure(header.get_u32() == fourcc(magic), "wire: bad record magic");
-    opened.version = header.get_u32();
+    ByteCursor in(record, kPrefix);
+    ensure(in.get_u32() == fourcc(magic), "wire: bad record magic");
+    opened.version = in.get_u32();
     ensure(opened.version == kWireVersion1 ||
                opened.version == kWireVersion2,
            "wire: unknown protocol version");
-    opened.type_or_status = header.get_u32();
-    opened.request_id = header.get_u64();
-    const std::uint64_t body_bytes = header.get_u64();
+    opened.type_or_status = in.get_u32();
+    opened.request_id = in.get_u64();
+    const std::uint64_t body_bytes = in.get_u64();
     ensure(body_bytes <= kMaxBodyBytes, "wire: body length over limit");
     const std::size_t ext =
         opened.version == kWireVersion2 ? kWireTraceExtBytes : 0;
@@ -194,15 +111,11 @@ OpenedRecord open_record(std::span<const std::uint8_t> record,
                kWireHeaderBytes + ext + body_bytes + kWireTrailerBytes,
            "wire: record length does not match body length");
     if (ext != 0) {
-        opened.trace_id = header.get_u64();
-        opened.span_id = header.get_u64();
+        opened.trace_id = in.get_u64();
+        opened.span_id = in.get_u64();
     }
-    const std::size_t crc_offset = record.size() - kWireTrailerBytes;
-    Cursor trailer(record.data() + crc_offset, kWireTrailerBytes);
-    ensure(trailer.get_u32() == crc32(record.data(), crc_offset),
-           "wire: record CRC mismatch");
-    opened.body = Cursor(record.data() + kWireHeaderBytes + ext,
-                         static_cast<std::size_t>(body_bytes));
+    ensure(binio::crc_trailer_ok(record), "wire: record CRC mismatch");
+    opened.body = in.take(body_bytes, "body");
     return opened;
 }
 
@@ -259,15 +172,15 @@ std::string_view status_name(Status status) noexcept {
 }
 
 std::vector<std::uint8_t> encode_request(const Request& request) {
-    std::vector<std::uint8_t> body;
+    std::vector<std::uint8_t> bytes;
+    ByteWriter body(bytes);
     switch (request.type) {
         case MessageType::kPredictFeatures: {
             ensure(request.features.size() <= 0xFFFFFFFFu,
                    "wire: feature vector too wide");
-            put_u32_le(body,
-                       static_cast<std::uint32_t>(request.features.size()));
+            body.u32(static_cast<std::uint32_t>(request.features.size()));
             for (const double v : request.features) {
-                put_f64_le(body, v);
+                body.f64(v);
             }
             break;
         }
@@ -294,20 +207,21 @@ std::vector<std::uint8_t> encode_request(const Request& request) {
     return frame_record(kRequestMagic, version,
                         static_cast<std::uint32_t>(request.type),
                         request.request_id, request.trace_id,
-                        request.parent_span_id, body);
+                        request.parent_span_id, bytes);
 }
 
 std::vector<std::uint8_t> encode_response(const Response& response) {
     const std::uint32_t version = pick_version(
         response.trace_id, response.span_id, !response.payload.empty());
-    std::vector<std::uint8_t> body;
+    std::vector<std::uint8_t> bytes;
+    ByteWriter body(bytes);
     if (response.status == Status::kOk) {
-        put_i32_le(body, response.material_id);
+        body.i32(response.material_id);
         put_string(body, response.material_name);
         put_string(body, response.model_digest);
-        put_f64_le(body, response.queue_us);
-        put_f64_le(body, response.batch_wall_us);
-        put_u32_le(body, response.batch_size);
+        body.f64(response.queue_us);
+        body.f64(response.batch_wall_us);
+        body.u32(response.batch_size);
         if (version >= kWireVersion2) {
             put_string(body, response.payload);
         }
@@ -317,7 +231,7 @@ std::vector<std::uint8_t> encode_response(const Response& response) {
     return frame_record(kResponseMagic, version,
                         static_cast<std::uint32_t>(response.status),
                         response.request_id, response.trace_id,
-                        response.span_id, body);
+                        response.span_id, bytes);
 }
 
 Request decode_request(std::span<const std::uint8_t> record) {
@@ -327,27 +241,23 @@ Request decode_request(std::span<const std::uint8_t> record) {
     request.trace_id = opened.trace_id;
     request.parent_span_id = opened.span_id;
     request.raw_type = opened.type_or_status;
-    Cursor& body = opened.body;
+    ByteCursor& body = opened.body;
     switch (opened.type_or_status) {
         case static_cast<std::uint32_t>(MessageType::kPredictFeatures): {
             request.type = MessageType::kPredictFeatures;
-            const std::uint32_t width = body.get_u32();
-            request.features.reserve(width);
-            for (std::uint32_t i = 0; i < width; ++i) {
-                request.features.push_back(body.get_f64());
-            }
+            request.features = body.get_f64_array(body.get_u32(), "features");
             break;
         }
         case static_cast<std::uint32_t>(MessageType::kPredictSeries): {
             request.type = MessageType::kPredictSeries;
             request.baseline =
-                deserialize_series(body.get_bytes(), "baseline");
-            request.target = deserialize_series(body.get_bytes(), "target");
+                deserialize_series(get_bytes(body), "baseline");
+            request.target = deserialize_series(get_bytes(body), "target");
             break;
         }
         case static_cast<std::uint32_t>(MessageType::kSwapModel): {
             request.type = MessageType::kSwapModel;
-            request.path = body.get_string();
+            request.path = get_string(body);
             break;
         }
         case static_cast<std::uint32_t>(MessageType::kPing):
@@ -386,19 +296,19 @@ Response decode_response(std::span<const std::uint8_t> record) {
     response.trace_id = opened.trace_id;
     response.span_id = opened.span_id;
     response.status = static_cast<Status>(opened.type_or_status);
-    Cursor& body = opened.body;
+    ByteCursor& body = opened.body;
     if (response.status == Status::kOk) {
         response.material_id = body.get_i32();
-        response.material_name = body.get_string();
-        response.model_digest = body.get_string();
+        response.material_name = get_string(body);
+        response.model_digest = get_string(body);
         response.queue_us = body.get_f64();
         response.batch_wall_us = body.get_f64();
         response.batch_size = body.get_u32();
         if (opened.version >= kWireVersion2) {
-            response.payload = body.get_string();
+            response.payload = get_string(body);
         }
     } else {
-        response.message = body.get_string();
+        response.message = get_string(body);
     }
     ensure(body.exhausted(), "wire: trailing bytes after response body");
     return response;
@@ -428,7 +338,7 @@ std::optional<std::vector<std::uint8_t>> read_record(
     read_exact(fd, record.data() + first, kWireHeaderBytes - first,
                "record header");
 
-    Cursor header(record.data(), kWireHeaderBytes);
+    ByteCursor header({record.data(), kWireHeaderBytes}, kPrefix);
     ensure(header.get_u32() == fourcc(expected_magic),
            "wire: bad record magic");
     const std::uint32_t version = header.get_u32();

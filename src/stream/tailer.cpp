@@ -1,44 +1,21 @@
 #include "stream/tailer.hpp"
 
-#include <bit>
 #include <chrono>
-#include <cstring>
 #include <system_error>
 #include <thread>
 
-#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "obs/obs.hpp"
 
 namespace wimi::stream {
 namespace {
 
-// WCSI v2 on-disk layout (mirrors src/csi/trace_io.cpp). The tailer
-// decodes records itself because it must address them by offset in a
-// file whose tail is still being written — TraceReader's sequential
-// istream model ends at EOF, which for a growing file is not the end.
-constexpr std::size_t kHeaderBytes = 32;
-constexpr std::uint32_t kByteOrderMarker = 0x01020304u;
-constexpr std::uint32_t kMaxDimension = 65535;
-
-std::uint32_t get_u32_le(const unsigned char* p) {
-    return static_cast<std::uint32_t>(p[0]) |
-           (static_cast<std::uint32_t>(p[1]) << 8) |
-           (static_cast<std::uint32_t>(p[2]) << 16) |
-           (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t get_u64_le(const unsigned char* p) {
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-        v = (v << 8) | static_cast<std::uint64_t>(p[i]);
-    }
-    return v;
-}
-
-double get_f64_le(const unsigned char* p) {
-    return std::bit_cast<double>(get_u64_le(p));
-}
+// The tailer addresses records by offset in a file whose tail is still
+// being written: TraceReader's sequential istream model ends at EOF,
+// which for a growing file is not the end. The header check and the
+// record decoding are csi::check_trace_header and
+// csi::decode_frame_record, the same ones TraceReader runs.
+constexpr std::size_t kHeaderBytes = csi::kTraceHeaderBytesV2;
 
 }  // namespace
 
@@ -55,28 +32,26 @@ bool TraceTailer::try_read_header() {
     if (!stream_.is_open()) {
         return false;
     }
-    unsigned char header[kHeaderBytes];
-    stream_.read(reinterpret_cast<char*>(header), kHeaderBytes);
+    unsigned char bytes[kHeaderBytes];
+    stream_.read(reinterpret_cast<char*>(bytes), kHeaderBytes);
     if (!stream_) {
         stream_.close();
         return false;
     }
 
-    const bool valid =
-        std::memcmp(header, "WCSI", 4) == 0 &&
-        get_u32_le(header + 4) == csi::kTraceVersion2 &&
-        get_u32_le(header + 8) == kByteOrderMarker &&
-        get_u32_le(header + 28) == crc32(header, kHeaderBytes - 4);
-    const std::uint32_t antennas = get_u32_le(header + 12);
-    const std::uint32_t subcarriers = get_u32_le(header + 16);
-    const bool plausible = valid && antennas >= 1 && subcarriers >= 1 &&
-                           antennas <= kMaxDimension &&
-                           subcarriers <= kMaxDimension;
-    if (!plausible) {
+    // Stricter than TraceReader: only v2 has the per-record CRC the
+    // torn-tail rule needs, and a header with no cells gives no record
+    // size to follow, even when it declares 0 frames.
+    csi::TraceHeader header;
+    const bool usable =
+        csi::check_trace_header(bytes, header) == csi::HeaderCheck::kOk &&
+        header.version == csi::kTraceVersion2 &&
+        header.antenna_count >= 1 && header.subcarrier_count >= 1;
+    if (!usable) {
         stream_.close();
         if (config_.policy == csi::ReadPolicy::kStrict) {
-            ensure(false, "TraceTailer: " + path_.string() +
-                              " is not a valid WCSI v2 trace");
+            fail("TraceTailer: " + path_.string() +
+                 " is not a valid WCSI v2 trace");
         }
         WIMI_OBS_LOG_WARN("stream.tailer", "unusable trace header",
                           ::wimi::obs::kv("path", path_.string()));
@@ -84,15 +59,13 @@ bool TraceTailer::try_read_header() {
         return false;
     }
 
-    antennas_ = antennas;
-    subcarriers_ = subcarriers;
-    record_bytes_ = 16 + 16 * antennas_ * subcarriers_ + 4;
-    buffer_.resize(record_bytes_);
+    header_ = header;
+    buffer_.resize(header_.record_bytes());
     header_seen_ = true;
     WIMI_OBS_LOG_DEBUG("stream.tailer", "following trace",
                        ::wimi::obs::kv("path", path_.string()),
-                       ::wimi::obs::kv("antennas", antennas_),
-                       ::wimi::obs::kv("subcarriers", subcarriers_));
+                       ::wimi::obs::kv("antennas", antenna_count()),
+                       ::wimi::obs::kv("subcarriers", subcarrier_count()));
     return true;
 }
 
@@ -102,42 +75,25 @@ TraceTailer::Pull TraceTailer::pull_one(csi::CsiFrame& out) {
     if (ec || size < kHeaderBytes) {
         return Pull::kNothing;
     }
-    const std::uint64_t complete =
-        (size - kHeaderBytes) / record_bytes_;
+    const std::uint64_t complete = (size - kHeaderBytes) / buffer_.size();
     if (consumed_ >= complete) {
         return Pull::kNothing;
     }
 
     stream_.clear();  // a previous poll may have tripped eof
     stream_.seekg(static_cast<std::streamoff>(
-        kHeaderBytes + consumed_ * record_bytes_));
+        kHeaderBytes + consumed_ * buffer_.size()));
     stream_.read(reinterpret_cast<char*>(buffer_.data()),
-                 static_cast<std::streamsize>(record_bytes_));
+                 static_cast<std::streamsize>(buffer_.size()));
     if (!stream_) {
         return Pull::kNothing;  // raced the filesystem; poll again
     }
 
-    const std::uint32_t stored = get_u32_le(buffer_.data() + record_bytes_ - 4);
-    const bool crc_ok = stored == crc32(buffer_.data(), record_bytes_ - 4);
-    csi::CsiFrame frame;
-    bool finite_ok = false;
-    if (crc_ok) {
-        frame = csi::CsiFrame(antennas_, subcarriers_);
-        frame.timestamp_s = get_f64_le(buffer_.data());
-        frame.rssi_dbm = get_f64_le(buffer_.data() + 8);
-        std::span<Complex> cells = frame.raw();
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-            const unsigned char* p = buffer_.data() + 16 + i * 16;
-            cells[i] = Complex(get_f64_le(p), get_f64_le(p + 8));
-        }
-        finite_ok = frame.is_finite();
-    }
-
-    if (crc_ok && finite_ok) {
+    if (csi::decode_frame_record(buffer_, header_, out) ==
+        csi::FrameCheck::kOk) {
         ++consumed_;
         ++delivered_;
         WIMI_OBS_COUNT("stream.tail.frames", 1);
-        out = std::move(frame);
         return Pull::kFrame;
     }
 
@@ -148,9 +104,8 @@ TraceTailer::Pull TraceTailer::pull_one(csi::CsiFrame& out) {
     }
     switch (config_.policy) {
         case csi::ReadPolicy::kStrict:
-            ensure(false, "TraceTailer: corrupt frame record " +
-                              std::to_string(consumed_) + " in " +
-                              path_.string());
+            fail("TraceTailer: corrupt frame record " +
+                 std::to_string(consumed_) + " in " + path_.string());
         case csi::ReadPolicy::kSkipCorrupt:
             ++consumed_;
             ++skipped_;
@@ -197,9 +152,9 @@ std::optional<csi::CsiFrame> TraceTailer::next() {
                 // writer never completes it, the timeout classifies it.
                 if (Clock::now() - last_progress >= idle_budget &&
                     config_.policy == csi::ReadPolicy::kStrict) {
-                    ensure(false, "TraceTailer: torn final record " +
-                                      std::to_string(consumed_) + " in " +
-                                      path_.string() + " (writer gone?)");
+                    fail("TraceTailer: torn final record " +
+                         std::to_string(consumed_) + " in " +
+                         path_.string() + " (writer gone?)");
                 }
             }
         }

@@ -56,8 +56,10 @@ public:
 
     /// True once the 32-byte header has been read and validated.
     bool header_seen() const { return header_seen_; }
-    std::size_t antenna_count() const { return antennas_; }
-    std::size_t subcarrier_count() const { return subcarriers_; }
+    std::size_t antenna_count() const { return header_.antenna_count; }
+    std::size_t subcarrier_count() const {
+        return header_.subcarrier_count;
+    }
 
     std::uint64_t frames_delivered() const { return delivered_; }
     std::uint64_t frames_skipped() const { return skipped_; }
@@ -80,9 +82,7 @@ private:
     std::ifstream stream_;
     bool header_seen_ = false;
     bool stopped_ = false;
-    std::size_t antennas_ = 0;
-    std::size_t subcarriers_ = 0;
-    std::size_t record_bytes_ = 0;
+    csi::TraceHeader header_;
     std::uint64_t consumed_ = 0;  ///< complete records fully processed
     std::uint64_t delivered_ = 0;
     std::uint64_t skipped_ = 0;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -223,6 +224,27 @@ TEST(ServeWire, UnknownTypeWithValidCrcDecodesToKUnknown) {
     EXPECT_EQ(decoded.type, MessageType::kUnknown);
     EXPECT_EQ(decoded.raw_type, 0x7eu);
     EXPECT_EQ(decoded.request_id, 55u);
+}
+
+TEST(ServeWire, LyingFeatureWidthRejectedWithoutHugeAllocation) {
+    // A CRC-valid record whose width field claims 2^32 - 1 features: the
+    // decoder must compare the claim with the bytes that are there
+    // before it allocates, and fail with wimi::Error, not bad_alloc.
+    std::vector<std::uint8_t> record = encode_request(features_request());
+    // The width is the body's first field, a u32 right after the v1
+    // header; resign() writes its low byte and restamps the CRC.
+    for (std::size_t i = 1; i < 4; ++i) {
+        record[kWireHeaderBytes + i] = 0xFF;
+    }
+    record = resign(std::move(record), kWireHeaderBytes, 0xFF);
+    try {
+        decode_request(record);
+        ADD_FAILURE() << "lying feature width accepted";
+    } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("wire: record truncated"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(ServeWire, UntracedRequestStaysVersion1) {

@@ -276,6 +276,34 @@ TEST(TraceFaultInjection, ImplausibleFrameCountRejectedWithoutAllocating) {
     }
 }
 
+TEST(TraceFaultInjection, OversizedCellCountRejectedWithoutAllocating) {
+    // 8000 x 8000 cells would size a 1 GB record buffer. Each dimension
+    // is below the per-dimension cap; only the cell cap catches it.
+    const auto series = sample_series();
+    for (const std::uint32_t version : {kTraceVersion1, kTraceVersion2}) {
+        SCOPED_TRACE("v" + std::to_string(version));
+        const std::string lying = fault::patch_dimensions(
+            fault::serialize(series, version), 8000, 8000);
+        try {
+            fault::read_bytes(lying);
+            ADD_FAILURE() << "strict read accepted 8000 x 8000 cells";
+        } catch (const Error& e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "implausible header dimensions"),
+                      std::string::npos)
+                << e.what();
+        }
+        for (const ReadPolicy policy :
+             {ReadPolicy::kSkipCorrupt, ReadPolicy::kStopAtCorruption}) {
+            TraceReadReport report;
+            const auto back = fault::read_bytes(lying, {policy}, &report);
+            EXPECT_FALSE(report.header_ok);
+            EXPECT_FALSE(report.truncated);
+            EXPECT_TRUE(back.empty());
+        }
+    }
+}
+
 // --- CRC-valid non-finite payloads --------------------------------------
 
 TEST(TraceFaultInjection, NonFinitePayloadCaughtByFiniteCheck) {

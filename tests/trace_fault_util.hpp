@@ -127,6 +127,20 @@ inline std::string patch_frame_count(std::string bytes,
     return bytes;
 }
 
+/// Rewrites the header's antenna and subcarrier counts, keeping the
+/// header internally consistent (v2 CRC restamped) — a lying header
+/// that declares far more cells than the file holds.
+inline std::string patch_dimensions(std::string bytes,
+                                    std::uint32_t antennas,
+                                    std::uint32_t subcarriers) {
+    const std::size_t offset =
+        detail::version_of(bytes) == kTraceVersion2 ? 12 : 8;
+    detail::put_u32_le(bytes, offset, antennas);
+    detail::put_u32_le(bytes, offset + 4, subcarriers);
+    detail::fix_header_crc(bytes);
+    return bytes;
+}
+
 /// Overwrites the `double_index`-th payload double of frame
 /// `frame_index` (0 = timestamp, 1 = RSSI, 2.. = re/im components) with
 /// `value`, restamping the frame CRC for v2 — models a writer that

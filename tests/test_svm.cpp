@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <vector>
 
 #include "common/error.hpp"
@@ -90,6 +91,56 @@ TEST(BinarySvm, SupportVectorsSubsetOfTraining) {
     // Well-separated blobs need few support vectors.
     EXPECT_LT(svm.support_vector_count(), 80u);
     EXPECT_GE(svm.support_vector_count(), 2u);
+}
+
+TEST(BinarySvm, DecisionMatchesRowByRowLoop) {
+    // Overlapping 5-d classes, so the machine keeps many support vectors.
+    Rng rng(17);
+    constexpr std::size_t kWidth = 5;
+    std::vector<double> features;
+    std::vector<int> labels;
+    for (int i = 0; i < 60; ++i) {
+        const int y = (i % 2 == 0) ? 1 : -1;
+        for (std::size_t j = 0; j < kWidth; ++j) {
+            features.push_back(rng.gaussian(0.4 * y, 1.0));
+        }
+        labels.push_back(y);
+    }
+    for (const Kernel kind : {Kernel::kRbf, Kernel::kLinear}) {
+        SvmConfig config;
+        config.kernel = kind;
+        config.gamma = 0.7;
+        BinarySvm svm(config);
+        svm.train(features, kWidth, labels);
+        const auto svs = svm.support_vectors();
+        const auto alphas = svm.alphas();
+        ASSERT_GE(alphas.size(), 3u);
+        for (int probe = 0; probe < 20; ++probe) {
+            std::vector<double> x(kWidth);
+            for (double& v : x) {
+                v = rng.gaussian(0.0, 1.5);
+            }
+            // One support vector at a time, features accumulated in order.
+            double expected = svm.bias();
+            for (std::size_t s = 0; s < alphas.size(); ++s) {
+                double acc = 0.0;
+                for (std::size_t j = 0; j < kWidth; ++j) {
+                    const double sv = svs[s * kWidth + j];
+                    if (kind == Kernel::kRbf) {
+                        const double d = sv - x[j];
+                        acc += d * d;
+                    } else {
+                        acc += sv * x[j];
+                    }
+                }
+                expected += kind == Kernel::kRbf
+                                ? alphas[s] * std::exp(-config.gamma * acc)
+                                : alphas[s] * acc;
+            }
+            EXPECT_EQ(svm.decision(x), expected)
+                << "kernel=" << static_cast<int>(kind) << " probe=" << probe;
+        }
+    }
 }
 
 TEST(BinarySvm, Validation) {

@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <exception>
@@ -31,13 +30,10 @@
 
 #include "bench_util.hpp"
 #include "common/rng.hpp"
-#include "core/amplitude_denoising.hpp"
 #include "core/material_feature.hpp"
 #include "core/streaming_feature.hpp"
 #include "core/subcarrier_selection.hpp"
 #include "core/wimi.hpp"
-#include "csi/soa.hpp"
-#include "dsp/filters.hpp"
 #include "dsp/wavelet_denoise.hpp"
 #include "exec/parallel.hpp"
 #include "ml/svm.hpp"
@@ -45,7 +41,6 @@
 #include "obs/obs.hpp"
 #include "sim/harness.hpp"
 #include "sim/scenario.hpp"
-#include "simd/simd.hpp"
 #include "stream/pipeline.hpp"
 
 namespace {
@@ -272,10 +267,8 @@ TelemetryBench run_telemetry_microbench() {
 }
 
 /// Observability overhead A/B on the end-to-end identify path. Returns
-/// the overhead percentage (positive = obs-on is slower). `simd_json` is
-/// the SIMD A/B object appended to the same report.
+/// the overhead percentage (positive = obs-on is slower).
 double run_obs_overhead_comparison(const char* report_path,
-                                   const std::string& simd_json,
                                    const std::string& stream_json) {
     const auto& scenario = lab_scenario();
     core::Wimi wimi;
@@ -370,7 +363,6 @@ double run_obs_overhead_comparison(const char* report_path,
                      "\"exporter_flush_us_mean\":%.3f,"
                      "\"exporter_seq_monotonic\":%s,"
                      "\"exporter_lines_valid\":%s,"
-                     "\"simd\":%s,"
                      "\"stream\":%s}\n",
                      compiled_in ? "true" : "false", rate_on, rate_off,
                      overhead_percent, telemetry.log_lines_per_s,
@@ -378,235 +370,13 @@ double run_obs_overhead_comparison(const char* report_path,
                      telemetry.exporter_flush_us_mean,
                      telemetry.exporter_seq_monotonic ? "true" : "false",
                      telemetry.exporter_lines_valid ? "true" : "false",
-                     simd_json.c_str(), stream_json.c_str());
+                     stream_json.c_str());
         std::fclose(out);
         std::cout << "report:              " << report_path << '\n';
     } else {
         std::cerr << "warning: could not write " << report_path << '\n';
     }
     return overhead_percent;
-}
-
-/// One span of the scalar-vs-SIMD A/B: the same workload timed with the
-/// vector path forced off, then on, plus an output-parity verdict.
-struct SimdSpanResult {
-    const char* name = "";
-    double scalar_us = 0.0;
-    double simd_us = 0.0;
-    bool parity = false;
-};
-
-/// Best-of-rounds mean microseconds per call of `fn` (best round rather
-/// than mean-of-rounds, for the same noise-rejection reason as the obs
-/// overhead comparison).
-template <typename Fn>
-double best_round_us(Fn&& fn, int rounds, int iters) {
-    double best = std::numeric_limits<double>::infinity();
-    for (int r = 0; r < rounds; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < iters; ++i) {
-            fn();
-        }
-        const std::chrono::duration<double, std::micro> elapsed =
-            std::chrono::steady_clock::now() - t0;
-        best = std::min(best, elapsed.count() / iters);
-    }
-    return best;
-}
-
-/// Elementwise closeness for the tolerance-gated spans (reductions and
-/// amplitude/ratio kernels may reassociate; see src/simd/kernels.hpp).
-bool all_near(const std::vector<double>& a, const std::vector<double>& b,
-              double rel, double abs_floor) {
-    if (a.size() != b.size()) {
-        return false;
-    }
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        const double tol =
-            abs_floor + rel * std::max(std::abs(a[i]), std::abs(b[i]));
-        if (!(std::abs(a[i] - b[i]) <= tol)) {
-            return false;
-        }
-    }
-    return true;
-}
-
-/// Runs `work` (returning a vector<double> fingerprint of its output)
-/// under the scalar path, then under the active vector path, and records
-/// timings + parity.
-template <typename Work>
-SimdSpanResult run_simd_span(const char* name, Work&& work, int iters,
-                             bool exact_parity) {
-    constexpr int kRounds = 3;
-    SimdSpanResult span;
-    span.name = name;
-
-    simd::set_enabled(false);
-    std::vector<double> scalar_out = work();  // warmup + reference output
-    span.scalar_us = best_round_us([&] { work(); }, kRounds, iters);
-
-    simd::set_enabled(true);
-    const std::vector<double> simd_out = work();
-    span.simd_us = best_round_us([&] { work(); }, kRounds, iters);
-
-    span.parity = exact_parity ? scalar_out == simd_out
-                               : all_near(scalar_out, simd_out, 1e-6, 1e-9);
-    return span;
-}
-
-/// Scalar-vs-SIMD A/B over the five vectorized spans of the pipeline.
-/// Each span runs the *public* API (not the raw kernels), so the measured
-/// speedup includes every layer a real run goes through. When the build's
-/// vector path is unavailable (scalar-only ISA or -DWIMI_SIMD=off), both
-/// arms run the scalar code and speedups sit at ~1.
-std::vector<SimdSpanResult> run_simd_ab() {
-    const bool was_enabled = simd::enabled();
-    std::vector<SimdSpanResult> spans;
-
-    // Span 1: wavelet-correlation denoiser (dominates amplitude cleaning).
-    {
-        Rng rng(21);
-        std::vector<double> series(1024);
-        for (double& v : series) {
-            v = 5.0 + rng.gaussian(0.0, 0.1);
-        }
-        if (rng.next_u64() % 17 == 0) {
-            series[500] += 3.0;  // an impulse so the denoiser iterates
-        }
-        spans.push_back(run_simd_span(
-            "wavelet_denoise",
-            [&] { return dsp::wavelet_correlation_denoise(series); }, 20,
-            /*exact_parity=*/false));
-    }
-
-    // Span 2: classical filters — sliding median + zero-phase Butterworth
-    // (biquad cascade). Both vector paths are bit-exact by construction.
-    {
-        Rng rng(22);
-        std::vector<double> series(4096);
-        for (double& v : series) {
-            v = std::sin(0.01 * static_cast<double>(series.size())) +
-                rng.gaussian(0.0, 0.2);
-        }
-        const dsp::ButterworthLowPass lowpass(4, 10.0, 100.0);
-        spans.push_back(run_simd_span(
-            "filters",
-            [&] {
-                auto out = dsp::median_filter(series, 7);
-                const auto smoothed = lowpass.filtfilt(series);
-                out.insert(out.end(), smoothed.begin(), smoothed.end());
-                return out;
-            },
-            20, /*exact_parity=*/true));
-    }
-
-    // Span 3: amplitude-ratio cleaning over a full capture's subcarriers.
-    // Fresh SoA per arm so each path also pays (and caches) its own
-    // amplitude-plane conversion.
-    {
-        const auto series = lab_scenario().capture_reference(31, 200);
-        spans.push_back(run_simd_span(
-            "amplitude_ratio",
-            [&] {
-                const csi::CsiSoa soa(series);
-                std::vector<double> fingerprint;
-                for (std::size_t k = 0; k < soa.subcarrier_count(); ++k) {
-                    const auto ratio =
-                        core::denoised_amplitude_ratio(soa, {0, 1}, k, {});
-                    fingerprint.insert(fingerprint.end(), ratio.begin(),
-                                       ratio.end());
-                }
-                return fingerprint;
-            },
-            3, /*exact_parity=*/false));
-    }
-
-    // Span 4: the full material-feature extraction (complex ratios,
-    // masking, wavelet cleaning, wrap recovery).
-    {
-        const auto m =
-            lab_scenario().capture_measurement(rf::Liquid::kPepsi, 77);
-        const std::vector<core::AntennaPair> pairs = {{0, 1}, {1, 2}, {0, 2}};
-        const std::vector<std::size_t> subcarriers = {5, 12, 22, 27};
-        spans.push_back(run_simd_span(
-            "feature_extract",
-            [&] {
-                return core::extract_feature_vector(m.baseline, m.target,
-                                                    pairs, subcarriers, {});
-            },
-            10, /*exact_parity=*/false));
-    }
-
-    // Span 5: SVM decision over RBF kernel rows. Train once (outside the
-    // A/B), then compare batch decision values — bit-exact by design
-    // (column kernels accumulate per row in index order).
-    {
-        Rng rng(13);
-        ml::Dataset data(8);
-        for (int label = 0; label < 10; ++label) {
-            for (int i = 0; i < 20; ++i) {
-                std::vector<double> x(8);
-                for (double& v : x) {
-                    v = rng.gaussian(static_cast<double>(label), 0.3);
-                }
-                data.add(x, label);
-            }
-        }
-        ml::MulticlassSvm svm;
-        svm.train(data);
-        std::vector<std::vector<double>> probes(256);
-        for (auto& x : probes) {
-            x.resize(8);
-            for (double& v : x) {
-                v = rng.gaussian(4.5, 3.0);
-            }
-        }
-        spans.push_back(run_simd_span(
-            "svm_decision",
-            [&] {
-                std::vector<double> predictions;
-                predictions.reserve(probes.size());
-                for (const auto& x : probes) {
-                    predictions.push_back(
-                        static_cast<double>(svm.predict(x)));
-                }
-                return predictions;
-            },
-            10, /*exact_parity=*/true));
-    }
-
-    simd::set_enabled(was_enabled);
-
-    std::cout << "\n--- SIMD A/B (scalar vs " << simd::active_isa()
-              << ", " << simd::double_lanes() << " double lanes) ---\n"
-              << "span              scalar_us    simd_us  speedup  parity\n";
-    for (const SimdSpanResult& span : spans) {
-        std::printf("%-16s  %9.1f  %9.1f  %6.2fx  %s\n", span.name,
-                    span.scalar_us, span.simd_us,
-                    span.scalar_us / span.simd_us,
-                    span.parity ? "ok" : "MISMATCH");
-    }
-    return spans;
-}
-
-/// JSON fragment `"simd":{...}` for the BENCH_pipeline.json report.
-std::string simd_ab_json(const std::vector<SimdSpanResult>& spans) {
-    std::string json = std::string("{\"isa\":\"") + simd::effective_isa() +
-                       "\",\"double_lanes\":" +
-                       std::to_string(simd::double_lanes()) + ",\"spans\":{";
-    char buffer[256];
-    for (std::size_t i = 0; i < spans.size(); ++i) {
-        const SimdSpanResult& span = spans[i];
-        std::snprintf(buffer, sizeof(buffer),
-                      "%s\"%s\":{\"scalar_us\":%.3f,\"simd_us\":%.3f,"
-                      "\"speedup\":%.4f,\"parity\":%s}",
-                      i == 0 ? "" : ",", span.name, span.scalar_us,
-                      span.simd_us, span.scalar_us / span.simd_us,
-                      span.parity ? "true" : "false");
-        json += buffer;
-    }
-    json += "}}";
-    return json;
 }
 
 /// Streaming-vs-batch identification phase (DESIGN.md §13): the same
@@ -954,11 +724,9 @@ int main(int argc, char** argv) {
     }
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    const auto simd_spans = run_simd_ab();
     const StreamBenchResult stream_bench = run_stream_vs_batch();
     const double overhead = run_obs_overhead_comparison(
-        "BENCH_pipeline.json", simd_ab_json(simd_spans),
-        stream_bench_json(stream_bench));
+        "BENCH_pipeline.json", stream_bench_json(stream_bench));
     run.context.note("obs_overhead_percent", overhead);
     run_parallel_scaling("BENCH_parallel.json");
     return 0;

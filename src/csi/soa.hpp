@@ -15,12 +15,11 @@
 // std::span views into the buffer — zero-copy, unit-stride, and directly
 // consumable by the simd kernels.
 //
-// Numeric contract: with the SIMD vector paths disabled, amplitude
-// planes use std::abs(std::complex) and are bit-identical to
-// CsiSeries::amplitude_series; with SIMD enabled they use the wide
-// sqrt(re^2 + im^2) kernel, which can differ in the last ulp (and in
-// principle under/overflow for |H| outside ~[1e-150, 1e150] — far
-// beyond quantized CSI magnitudes). Phase planes always use std::atan2
+// Numeric contract: amplitude planes use the simd sqrt(re^2 + im^2)
+// kernel, which can differ from CsiSeries::amplitude_series
+// (std::abs(std::complex)) in the last ulp (and in principle
+// under/overflow for |H| outside ~[1e-150, 1e150] — far beyond
+// quantized CSI magnitudes). Phase planes always use std::atan2
 // per element (no wide variant) and match CsiSeries::phase_series
 // bit-for-bit.
 //

@@ -29,9 +29,8 @@ void check_finite(std::span<const double> input, const char* what) {
 std::vector<double> run_sections(const std::vector<Biquad>& sections,
                                  std::span<const double> input) {
     // The simd kernel fuses the cascade per sample (one memory pass
-    // instead of one per section) when the vector paths are enabled;
-    // either way the arithmetic per (sample, section) is the legacy
-    // transposed-direct-form-II update, bit-exact across paths.
+    // instead of one per section); the arithmetic per (sample, section)
+    // is the legacy transposed-direct-form-II update, bit for bit.
     std::vector<simd::Biquad> state;
     state.reserve(sections.size());
     for (const auto& s : sections) {
@@ -48,28 +47,11 @@ std::vector<double> median_filter(std::span<const double> input,
                                   std::size_t window) {
     check_window(input, window);
     check_finite(input, "median_filter");
-    const std::size_t half = window / 2;
-    const std::size_t n = input.size();
-    std::vector<double> out(n);
-    // Windows up to 7 (the pipeline's sizes) go through the simd kernel:
-    // lane-parallel min/max selection networks over the interior, the
-    // legacy sort at the shrinking edges. Selection picks a window value,
-    // so the result matches sort-and-take-middle exactly.
-    if (simd::sliding_median(input, static_cast<int>(half), out)) {
-        return out;
-    }
-    std::vector<double> buffer;
-    buffer.reserve(window);
-    for (std::size_t i = 0; i < n; ++i) {
-        // Symmetric shrink: the effective half-width is limited by the
-        // distance to the nearest edge, keeping the window centered.
-        const std::size_t reach =
-            std::min({half, i, n - 1 - i});
-        buffer.assign(input.begin() + static_cast<std::ptrdiff_t>(i - reach),
-                      input.begin() + static_cast<std::ptrdiff_t>(i + reach + 1));
-        std::sort(buffer.begin(), buffer.end());
-        out[i] = buffer[buffer.size() / 2];
-    }
+    // Windows up to 7 (the pipeline's sizes) run lane-parallel min/max
+    // selection networks over the interior; edges and wider windows sort.
+    // Either way the result is sort-and-take-middle, exactly.
+    std::vector<double> out(input.size());
+    simd::sliding_median(input, window / 2, out);
     return out;
 }
 

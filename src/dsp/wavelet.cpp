@@ -176,7 +176,7 @@ void atrous_decompose(std::span<const double> input, std::size_t levels,
     // Cubic B3-spline smoothing per level (offsets scaled by 2^l) and the
     // detail-plane subtraction both run through the simd kernels; the
     // atrous_smooth kernel owns the tap weights and the periodic
-    // boundary, and is bit-exact between its scalar and vector paths.
+    // boundary, and is bit-exact with the legacy per-tap loop.
     // `approx` carries the current smooth plane from level to level: each
     // level smooths it into the next detail slot, turns `approx` into the
     // detail (current - smoothed), then swaps the two buffers.

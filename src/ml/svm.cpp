@@ -171,46 +171,34 @@ void BinarySvm::train(std::span<const double> features, std::size_t width,
         }
     }
     bias_ = b;
-    build_columns();
     WIMI_OBS_HISTOGRAM("svm.train.support_vectors",
                        static_cast<double>(alphas_.size()));
-}
-
-void BinarySvm::build_columns() {
-    const std::size_t n_sv = alphas_.size();
-    sv_columns_.resize(n_sv * width_);
-    for (std::size_t s = 0; s < n_sv; ++s) {
-        for (std::size_t j = 0; j < width_; ++j) {
-            sv_columns_[j * n_sv + s] = support_vectors_[s * width_ + j];
-        }
-    }
 }
 
 double BinarySvm::decision(std::span<const double> x) const {
     ensure(trained(), "BinarySvm::decision: not trained");
     ensure(x.size() == width_, "BinarySvm::decision: width mismatch");
-    // Kernel rows over the transposed SV matrix, lane-parallel across
-    // support vectors; per SV the accumulation stays in feature order, so
-    // the distances — and hence the decision value (exp and the SV-order
-    // reduction below are unchanged) — are bit-identical to the legacy
-    // row-by-row loop in every configuration.
-    const std::size_t n_sv = alphas_.size();
-    thread_local std::vector<double> rows;
-    rows.resize(n_sv);
+    // One support vector at a time, features accumulated in order, so the
+    // decision value does not depend on the build's SIMD width.
     double sum = bias_;
-    switch (config_.kernel) {
-        case Kernel::kLinear:
-            simd::dot_columns(sv_columns_, n_sv, x, rows);
-            for (std::size_t s = 0; s < n_sv; ++s) {
-                sum += alphas_[s] * rows[s];
-            }
-            break;
-        case Kernel::kRbf:
-            simd::squared_distance_columns(sv_columns_, n_sv, x, rows);
-            for (std::size_t s = 0; s < n_sv; ++s) {
-                sum += alphas_[s] * std::exp(-config_.gamma * rows[s]);
-            }
-            break;
+    const double* sv = support_vectors_.data();
+    for (std::size_t s = 0; s < alphas_.size(); ++s, sv += width_) {
+        double acc = 0.0;
+        switch (config_.kernel) {
+            case Kernel::kLinear:
+                for (std::size_t j = 0; j < width_; ++j) {
+                    acc += sv[j] * x[j];
+                }
+                sum += alphas_[s] * acc;
+                break;
+            case Kernel::kRbf:
+                for (std::size_t j = 0; j < width_; ++j) {
+                    const double d = sv[j] - x[j];
+                    acc += d * d;
+                }
+                sum += alphas_[s] * std::exp(-config_.gamma * acc);
+                break;
+        }
     }
     return sum;
 }
@@ -240,7 +228,6 @@ BinarySvm BinarySvm::restore(const SvmConfig& config, std::size_t width,
     svm.support_vectors_ = std::move(support_vectors);
     svm.alphas_ = std::move(alphas);
     svm.bias_ = bias;
-    svm.build_columns();
     return svm;
 }
 

@@ -77,16 +77,9 @@ public:
 private:
     double kernel(std::span<const double> a, std::span<const double> b) const;
 
-    /// Rebuilds sv_columns_ from support_vectors_ (after train/restore).
-    void build_columns();
-
     SvmConfig config_;
     std::size_t width_ = 0;
     std::vector<double> support_vectors_;  // row-major
-    /// Column-major (transposed) copy of support_vectors_: feature j of
-    /// every SV contiguous, so decision() evaluates kernel rows
-    /// lane-parallel across SVs. Derived state, rebuilt on train/restore.
-    std::vector<double> sv_columns_;
     std::vector<double> alphas_;           // alpha_i * y_i
     double bias_ = 0.0;
 };

@@ -1,21 +1,20 @@
 // Vectorized kernels for the DSP/feature hot path.
 //
-// Every kernel exists in two variants selected by `Path`:
-//   * kScalar — the bit-exactness reference. Reproduces the exact
-//     floating-point operation order of the pre-SIMD pipeline (including
-//     std::abs / std::complex division where the legacy code used them).
-//   * kVector — the wide implementation over vec<double, kDoubleLanes>.
-//   * kAuto   — kVector when simd::enabled(), else kScalar. Production
-//     call sites use kAuto; the differential suite pins both explicitly.
+// Every kernel has one production body, written against
+// vec<double, kDoubleLanes> where the wide form pays and as a plain loop
+// where the compiler already emits the same vector code from it (the
+// elementwise kernels). The pre-SIMD scalar loops each kernel replaced
+// live in tests/simd_reference.hpp, as the oracle of the differential
+// suite in tests/test_simd_kernels.cpp, which also pins the production
+// output bits at every lane width.
 //
-// Bit-exactness classification (enforced by tests/test_simd_kernels.cpp):
-//   bit-exact (vector == scalar on every input):
-//     multiply, subtract, scale, divide, absolute_deviation,
+// Classification against those references:
+//   bit-exact (same bits as the reference on every input):
+//     multiply, subtract, add_in_place, divide, absolute_deviation,
 //     atrous_smooth, sliding_median, biquad_cascade, zero_dominated,
-//     squared_distance_columns, dot_columns, all_finite (predicate)
-//   tolerance-gated (vector reassociates or uses a different but
-//   correctly-rounded-per-op formula; drift covered by simd.* rules in
-//   bench/baselines/rules.json):
+//     all_finite (predicate)
+//   tolerance-gated (reassociates, or uses a different but
+//   correctly-rounded-per-op formula):
 //     sum, sum_squares, dot, squared_distance, centered_sum_squares,
 //     centered_dot (chunked Kahan partial sums merged in index order —
 //     deterministic per width, but not the sequential order), amplitude
@@ -28,120 +27,95 @@
 
 namespace wimi::simd {
 
-enum class Path {
-    kAuto,    ///< kVector when enabled(), else kScalar.
-    kScalar,  ///< Sequential reference, pre-SIMD bit-identical.
-    kVector,  ///< Wide path at the compiled lane width.
-};
-
-/// Sum of x. Vector: chunked lane-partial sums with Kahan compensation
-/// across chunks, merged in index order (deterministic per width).
-double sum(std::span<const double> x, Path path = Path::kAuto);
+/// Sum of x: chunked lane-partial sums with Kahan compensation across
+/// chunks, merged in index order (deterministic per width).
+double sum(std::span<const double> x);
 
 /// Sum of x[i]^2, same accumulation scheme as sum().
-double sum_squares(std::span<const double> x, Path path = Path::kAuto);
+double sum_squares(std::span<const double> x);
 
 /// Dot product of a and b (sizes must match), same scheme as sum().
-double dot(std::span<const double> a, std::span<const double> b,
-           Path path = Path::kAuto);
+double dot(std::span<const double> a, std::span<const double> b);
 
 /// Sum of (a[i]-b[i])^2 (sizes must match), same scheme as sum().
-double squared_distance(std::span<const double> a, std::span<const double> b,
-                        Path path = Path::kAuto);
+double squared_distance(std::span<const double> a, std::span<const double> b);
 
 /// Sum of (x[i]-mu)^2, same scheme as sum(). The centered-moment core of
 /// dsp::variance / sample_variance.
-double centered_sum_squares(std::span<const double> x, double mu,
-                            Path path = Path::kAuto);
+double centered_sum_squares(std::span<const double> x, double mu);
 
 /// Sum of (a[i]-mu_a)*(b[i]-mu_b) (sizes must match), same scheme as
 /// sum(). The covariance core of dsp::pearson_correlation.
 double centered_dot(std::span<const double> a, double mu_a,
-                    std::span<const double> b, double mu_b,
-                    Path path = Path::kAuto);
+                    std::span<const double> b, double mu_b);
 
-/// True iff every element is finite. Both paths agree on every input:
-/// the vector path accumulates x*0.0 (±0 for finite x, NaN for
-/// inf/NaN — the poison survives the lane sum), so the predicate is
-/// exact, not tolerance-gated.
-bool all_finite(std::span<const double> x, Path path = Path::kAuto);
+/// True iff every element is finite. Accumulates x*0.0 (±0 for finite
+/// x, NaN for inf/NaN — the poison survives the lane sum), so the
+/// predicate is exact, not tolerance-gated.
+bool all_finite(std::span<const double> x);
 
-/// out[i] = a[i] * b[i]. Bit-exact across paths.
+/// out[i] = a[i] * b[i].
 void multiply(std::span<const double> a, std::span<const double> b,
-              std::span<double> out, Path path = Path::kAuto);
+              std::span<double> out);
 
-/// out[i] = a[i] - b[i]. Bit-exact across paths.
+/// out[i] = a[i] - b[i].
 void subtract(std::span<const double> a, std::span<const double> b,
-              std::span<double> out, Path path = Path::kAuto);
+              std::span<double> out);
 
-/// out[i] += x[i]. Bit-exact across paths.
-void add_in_place(std::span<double> out, std::span<const double> x,
-                  Path path = Path::kAuto);
+/// out[i] += x[i].
+void add_in_place(std::span<double> out, std::span<const double> x);
 
-/// out[i] = s * x[i]. Bit-exact across paths.
-void scale(std::span<const double> x, double s, std::span<double> out,
-           Path path = Path::kAuto);
-
-/// out[i] = a[i] / b[i]. IEEE division is correctly rounded per lane, so
-/// this is bit-exact across paths (unlike scale(x, 1/d, out), which
-/// rounds the reciprocal once and each product again).
+/// out[i] = a[i] / b[i]. True division per element.
 void divide(std::span<const double> a, std::span<const double> b,
-            std::span<double> out, Path path = Path::kAuto);
+            std::span<double> out);
 
-/// out[i] = x[i] / d. Bit-exact across paths (true division per lane,
-/// not multiplication by the rounded reciprocal).
-void divide(std::span<const double> x, double d, std::span<double> out,
-            Path path = Path::kAuto);
+/// out[i] = x[i] / d. True division per element, not multiplication by
+/// the rounded reciprocal (which rounds twice).
+void divide(std::span<const double> x, double d, std::span<double> out);
 
-/// out[i] = |x[i] - center|. The vector path clears the sign bit, which
-/// matches std::abs on every value including -0.0 and NaN, so this is
-/// bit-exact across paths. The deviation core of dsp::
+/// out[i] = |x[i] - center|. The deviation core of dsp::
 /// median_absolute_deviation.
 void absolute_deviation(std::span<const double> x, double center,
-                        std::span<double> out, Path path = Path::kAuto);
+                        std::span<double> out);
 
 /// The impulse-extraction step of the wavelet-correlation denoiser
 /// (WiMi Eq. 13): for every m with w[m] != 0 and
 /// |corr[m] * scale| >= |w[m]|, set w[m] = 0.0. Returns the number of
 /// coefficients zeroed. Kept lanes pass through bit-for-bit and the
-/// zero/keep decision is an exact comparison, so this is bit-exact
-/// across paths. Inputs must be finite (callers run all_finite first).
+/// zero/keep decision is an exact comparison, so this is bit-exact.
+/// Inputs must be finite (callers run all_finite first).
 std::size_t zero_dominated(std::span<const double> corr, double scale,
-                           std::span<double> w, Path path = Path::kAuto);
+                           std::span<double> w);
 
-/// out[i] = |re[i] + i*im[i]|. Scalar path uses std::abs(std::complex)
-/// (the legacy formula, overflow-safe); vector path uses
-/// sqrt(re^2 + im^2). Tolerance-gated.
+/// out[i] = |re[i] + i*im[i]| as sqrt(re^2 + im^2). Tolerance-gated
+/// against std::abs(std::complex).
 void amplitude(std::span<const double> re, std::span<const double> im,
-               std::span<double> out, Path path = Path::kAuto);
+               std::span<double> out);
 
-/// Elementwise complex ratio (re1+i*im1)/(re2+i*im2). Scalar path uses
-/// std::complex division (legacy, Smith's algorithm); vector path uses
-/// the textbook formula over the squared denominator magnitude.
-/// Tolerance-gated. Caller guarantees |denominator| > 0 per element.
+/// Elementwise complex ratio (re1+i*im1)/(re2+i*im2) by the textbook
+/// formula over the squared denominator magnitude. Tolerance-gated
+/// against std::complex division. Caller guarantees |denominator| > 0
+/// per element.
 void complex_ratio(std::span<const double> re1, std::span<const double> im1,
                    std::span<const double> re2, std::span<const double> im2,
-                   std::span<double> out_re, std::span<double> out_im,
-                   Path path = Path::kAuto);
+                   std::span<double> out_re, std::span<double> out_im);
 
 /// Periodic 5-tap a-trous B3-spline smoothing pass:
 ///   out[i] = (x[i-2s] + 4 x[i-s] + 6 x[i] + 4 x[i+s] + x[i+2s]) / 16
 /// with periodic index wrap-around and tap accumulation in tap order
-/// (the legacy dsp::wavelet order). Vector path lifts the modulo out of
-/// the interior span and runs it wide; boundaries stay scalar. Bit-exact
-/// across paths.
+/// (the legacy dsp::wavelet order). The modulo is lifted out of the
+/// interior span, which runs wide; boundaries stay scalar. Bit-exact.
 void atrous_smooth(std::span<const double> x, std::size_t step,
-                   std::span<double> out, Path path = Path::kAuto);
+                   std::span<double> out);
 
 /// Sliding odd-window median with symmetric edge shrink (the legacy
 /// dsp::median_filter contract): out[i] = median(x[i-r .. i+r]) where
-/// r = min(half, i, n-1-i). Supported half widths: 1, 2, 3 (windows
-/// 3/5/7) — returns false (output untouched) for anything else so the
-/// caller can fall back. Vector path evaluates interior windows with
-/// min/max selection networks, lane-parallel across output positions;
-/// selection networks pick an input value, so results are bit-exact.
-bool sliding_median(std::span<const double> x, int half,
-                    std::span<double> out, Path path = Path::kAuto);
+/// r = min(half, i, n-1-i). Half widths 1-3 (windows 3/5/7) evaluate
+/// interior windows with min/max selection networks, lane-parallel
+/// across output positions; edges and every other half width sort each
+/// window. Both pick an input value, so results are bit-exact.
+void sliding_median(std::span<const double> x, std::size_t half,
+                    std::span<double> out);
 
 /// One biquad section in transposed direct-form II (the legacy
 /// dsp::run_sections layout): y = b0*x + z1; z1' = b1*x - a1*y + z2;
@@ -153,32 +127,12 @@ struct Biquad {
 };
 
 /// Run a cascade of biquad sections over x into y (in-place ok when
-/// x.data() == y.data()). Scalar path filters section-at-a-time over the
-/// whole signal (legacy order); vector path fuses the cascade
-/// per-sample for one pass over memory. Both update each section's
-/// state through the identical arithmetic on identical values, so the
-/// cascade is bit-exact across paths. Section states are left at their
-/// post-run values (callers reset between passes, as filtfilt does).
+/// x.data() == y.data()). The cascade is fused per sample, one pass over
+/// memory; each section's state goes through the same arithmetic on the
+/// same values as section-at-a-time filtering, so this is bit-exact.
+/// Section states are left at their post-run values (callers reset
+/// between passes, as filtfilt does).
 void biquad_cascade(std::span<const double> x, std::span<double> y,
-                    std::span<Biquad> sections, Path path = Path::kAuto);
-
-/// RBF/linear support-vector row evaluation over a *column-major*
-/// (transposed) SV matrix: cols[j * n_rows + r] holds feature j of
-/// support vector r, so lanes of consecutive r load contiguously.
-/// out[r] = sum_j (cols[j*n_rows + r] - x[j])^2, accumulated in j order
-/// per row — the legacy per-SV loop order — hence bit-exact across
-/// paths. x.size() == dim, out.size() == n_rows,
-/// cols.size() == n_rows * dim.
-void squared_distance_columns(std::span<const double> cols,
-                              std::size_t n_rows,
-                              std::span<const double> x,
-                              std::span<double> out,
-                              Path path = Path::kAuto);
-
-/// Same layout as squared_distance_columns, linear kernel:
-/// out[r] = sum_j cols[j*n_rows + r] * x[j], j-ordered. Bit-exact.
-void dot_columns(std::span<const double> cols, std::size_t n_rows,
-                 std::span<const double> x, std::span<double> out,
-                 Path path = Path::kAuto);
+                    std::span<Biquad> sections);
 
 }  // namespace wimi::simd

@@ -10,20 +10,14 @@
 // reference is bit-identical to it — the property the differential suite
 // in tests/test_simd_kernels.cpp enforces.
 //
-// Dispatch contract (see DESIGN.md §10):
-//   * ISA and lane width are fixed at compile time. The CMake option
-//     WIMI_SIMD chooses the flags (off | auto | sse2 | avx2 | native);
-//     `active_isa()` reports what this binary was compiled for.
-//   * The WIMI_SIMD *environment variable* (and `set_enabled()`) toggle
-//     the vector paths at runtime: "off" / "scalar" / "0" routes every
-//     kernel through its scalar reference, which reproduces the pre-SIMD
-//     pipeline bit-for-bit. Anything else (or unset) keeps the vector
-//     paths live.
-//   * Elementwise kernels and per-row reductions with a fixed scalar
-//     accumulation order are bit-exact between the two paths; kernels
-//     that reassociate a long reduction (lane-partial sums merged in
-//     lane order) are tolerance-gated instead — wimi.tolerance.v1 rules
-//     `simd.*` in bench/baselines/rules.json cover the downstream drift.
+// Dispatch contract (see DESIGN.md §10): ISA and lane width are fixed
+// at compile time. The CMake option WIMI_SIMD chooses the flags
+// (auto | off | avx2 | native); `effective_isa()` reports what this
+// binary was compiled for. There is no runtime switch: each kernel has
+// one body, and the `off` build runs those same bodies at one lane.
+// Kernels that reassociate a long reduction (lane-partial sums merged
+// in lane order) therefore give width-dependent results, which the
+// golden pins in tests/test_simd_kernels.cpp record per width.
 #pragma once
 
 #include <array>
@@ -64,10 +58,6 @@ namespace wimi::simd {
 
 /// Lane count for double kernels in this build (1 when scalar-only).
 inline constexpr std::size_t kDoubleLanes = WIMI_SIMD_DOUBLE_LANES;
-
-/// Lane count for float kernels (twice the double width, min 1).
-inline constexpr std::size_t kFloatLanes =
-    kDoubleLanes > 1 ? 2 * kDoubleLanes : 1;
 
 /// Fixed-width vector of N lanes of T. N must be a power of two. All
 /// lane arithmetic is elementwise IEEE-754; there is no horizontal
@@ -219,27 +209,14 @@ private:
 
 using vd = vec<double, kDoubleLanes>;
 
-/// True when the vector kernel paths are live (compiled in and not
-/// switched off via WIMI_SIMD=off|scalar|0 or set_enabled(false)).
-bool enabled();
-
-/// Runtime kill-switch for the vector paths; the scalar references are
-/// the pre-SIMD pipeline. Used by the differential tests and the
-/// scalar-vs-SIMD A/B sweep in bench_pipeline_perf.
-void set_enabled(bool on);
-
-/// ISA this binary was compiled for: "avx512" | "avx2" | "sse2" |
-/// "neon" | "scalar". Independent of enabled().
-const char* active_isa();
-
 /// Lane width the simd *library* was compiled at. Arch flags are scoped
 /// to the wimi_simd target, so kDoubleLanes in another translation unit
 /// may be narrower than the kernels actually run at — query this instead
 /// when the kernel width matters (tests, benches).
 std::size_t double_lanes();
 
-/// The ISA actually in effect: active_isa() when enabled(), else
-/// "scalar". This is what run manifests and metrics reports export.
+/// ISA the simd library was compiled for: "avx512" | "avx2" | "sse2" |
+/// "neon" | "scalar". Run manifests and metrics reports export it.
 const char* effective_isa();
 
 }  // namespace wimi::simd

@@ -1,5 +1,5 @@
 // Tests for the structure-of-arrays CSI buffer: plane layout against the
-// frame accessors, bit-identity of the scalar amplitude path with
+// frame accessors, amplitude planes within an ulp of
 // CsiSeries::amplitude_series, lazy-plane caching, and validation.
 #include "csi/soa.hpp"
 
@@ -11,7 +11,6 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "csi/frame.hpp"
-#include "simd/simd.hpp"
 
 namespace wimi::csi {
 namespace {
@@ -58,28 +57,9 @@ TEST(CsiSoa, RealImagPlanesMatchFrameAccessorsBitwise) {
     }
 }
 
-TEST(CsiSoa, ScalarAmplitudePlaneBitIdenticalToSeries) {
-    const auto series = make_series(64, 2, 8, 3);
-    const bool before = simd::enabled();
-    simd::set_enabled(false);  // scalar path: std::abs, the legacy formula
-    const CsiSoa soa(series);
-    for (std::size_t a = 0; a < 2; ++a) {
-        for (std::size_t k = 0; k < 8; ++k) {
-            const auto plane = soa.amplitude_plane(a, k);
-            const auto legacy = series.amplitude_series(a, k);
-            ASSERT_EQ(plane.size(), legacy.size());
-            for (std::size_t m = 0; m < legacy.size(); ++m) {
-                EXPECT_EQ(plane[m], legacy[m])
-                    << "a=" << a << " k=" << k << " m=" << m;
-            }
-        }
-    }
-    simd::set_enabled(before);
-}
-
 TEST(CsiSoa, SimdAmplitudePlaneWithinUlpOfLegacy) {
     const auto series = make_series(64, 2, 8, 4);
-    const CsiSoa soa(series);  // whatever path the build/env selected
+    const CsiSoa soa(series);
     for (std::size_t a = 0; a < 2; ++a) {
         for (std::size_t k = 0; k < 8; ++k) {
             const auto plane = soa.amplitude_plane(a, k);

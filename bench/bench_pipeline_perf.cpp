@@ -5,9 +5,8 @@
 //
 // After the google-benchmark suite, the binary measures the cost of the
 // observability layer itself: end-to-end identify throughput with the
-// instrumentation live vs. killed (obs::set_enabled(false), the same
-// one-atomic-load floor a WIMI_OBS_DISABLED build pays at most). The
-// comparison is printed and written to BENCH_pipeline.json so CI can
+// instrumentation live vs. killed (obs::set_enabled(false), which
+// leaves one relaxed atomic load per site). The comparison is printed and written to BENCH_pipeline.json so CI can
 // track the perf/quality trajectory.
 //
 // Last, a thread-scaling sweep over the exec layer: dataset build +
@@ -195,13 +194,6 @@ TelemetryBench run_telemetry_microbench() {
         static_cast<double>(kLines) / log_elapsed.count();
     obs::Logger::instance().set_path("");
 
-    // A WIMI_OBS_DISABLED build compiles the log macros out entirely, so
-    // the valid-JSONL check expects an empty sink there.
-#if defined(WIMI_OBS_DISABLED)
-    constexpr std::size_t kExpectedLines = 0;
-#else
-    constexpr std::size_t kExpectedLines = kLines;
-#endif
     std::size_t parsed = 0;
     try {
         std::ifstream in(log_path);
@@ -213,7 +205,7 @@ TelemetryBench run_telemetry_microbench() {
                 ++parsed;
             }
         }
-        result.log_valid_jsonl = parsed == kExpectedLines;
+        result.log_valid_jsonl = parsed == kLines;
     } catch (const std::exception&) {
         result.log_valid_jsonl = false;
     }
@@ -321,17 +313,9 @@ double run_obs_overhead_comparison(const char* report_path,
 
     const double overhead_percent =
         (rate_off - rate_on) / rate_off * 100.0;
-#if defined(WIMI_OBS_DISABLED)
-    const bool compiled_in = false;
-#else
-    const bool compiled_in = true;
-#endif
-
     const TelemetryBench telemetry = run_telemetry_microbench();
 
     std::cout << "\n--- observability overhead (end-to-end identify) ---\n"
-              << "obs compiled in:   "
-              << (compiled_in ? "yes" : "no (WIMI_OBS_DISABLED)") << '\n'
               << "identify/s, obs on (logger live):  " << rate_on << '\n'
               << "identify/s, obs off:               " << rate_off << '\n'
               << "overhead:            " << overhead_percent << " %"
@@ -354,7 +338,7 @@ double run_obs_overhead_comparison(const char* report_path,
     if (out != nullptr) {
         std::fprintf(out,
                      "{\"schema\":\"wimi.bench_pipeline.v1\","
-                     "\"obs_compiled_in\":%s,"
+                     "\"obs_compiled_in\":true,"
                      "\"identify_per_s_obs_on\":%.3f,"
                      "\"identify_per_s_obs_off\":%.3f,"
                      "\"overhead_percent\":%.3f,"
@@ -364,7 +348,7 @@ double run_obs_overhead_comparison(const char* report_path,
                      "\"exporter_seq_monotonic\":%s,"
                      "\"exporter_lines_valid\":%s,"
                      "\"stream\":%s}\n",
-                     compiled_in ? "true" : "false", rate_on, rate_off,
+                     rate_on, rate_off,
                      overhead_percent, telemetry.log_lines_per_s,
                      telemetry.log_valid_jsonl ? "true" : "false",
                      telemetry.exporter_flush_us_mean,

@@ -108,9 +108,7 @@ struct BurstResult {
 /// is installed directly rather than via WIMI_TRACE_SPAN: an
 /// instrumented client pays for its own spans with or without wire
 /// propagation, so a span here would bill baseline-plane cost to the
-/// propagation delta — and would also compile out under
-/// WIMI_ENABLE_OBS=OFF, where propagation still works and is still
-/// worth measuring.
+/// propagation delta.
 BurstResult run_burst(const std::string& socket_path, std::size_t clients,
                       std::size_t per_client,
                       const std::vector<double>& features,
@@ -377,8 +375,8 @@ int main() {
                            on_burst.ok == on_burst.requests &&
                            off_burst.transport_errors == 0 &&
                            on_burst.transport_errors == 0;
-    // Holds under WIMI_ENABLE_OBS=OFF too: context propagation is part
-    // of the wire contract, not the (compiled-out) span machinery.
+    // Context propagation is part of the wire contract, not the span
+    // machinery, so it holds with obs::set_enabled(false) too.
     const bool trace_echoed = on_burst.trace_echoed == on_burst.ok &&
                               off_burst.trace_echoed == 0;
     // Sampler validity: every admitted request got a retain/drop

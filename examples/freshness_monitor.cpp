@@ -32,12 +32,15 @@
 // record and follow run in different processes; they agree on the model
 // because training is deterministic in the shared seeds.
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "core/streaming_feature.hpp"
 #include "core/wimi.hpp"
@@ -300,11 +303,13 @@ int main(int argc, char** argv) {
             for (int i = 3; i + 1 < argc; i += 2) {
                 const std::string flag = argv[i];
                 if (flag == "--days") {
-                    days = std::stoi(argv[i + 1]);
+                    days = static_cast<int>(
+                        parse_uint_flag(flag, argv[i + 1], 0, INT_MAX));
                 } else if (flag == "--packets") {
-                    packets = std::stoul(argv[i + 1]);
+                    packets = parse_uint_flag(flag, argv[i + 1]);
                 } else if (flag == "--sleep-ms") {
-                    sleep_ms = std::stoi(argv[i + 1]);
+                    sleep_ms = static_cast<int>(
+                        parse_uint_flag(flag, argv[i + 1], 0, INT_MAX));
                 } else {
                     return usage();
                 }
@@ -321,12 +326,12 @@ int main(int argc, char** argv) {
                 if (flag == "--expect-change") {
                     expect_change = true;
                 } else if (i + 1 < argc && flag == "--window") {
-                    window = std::stoul(argv[++i]);
+                    window = parse_uint_flag(flag, argv[++i]);
                 } else if (i + 1 < argc && flag == "--hop") {
-                    hop = std::stoul(argv[++i]);
+                    hop = parse_uint_flag(flag, argv[++i]);
                 } else if (i + 1 < argc && flag == "--idle-timeout-ms") {
                     idle_timeout_ms = static_cast<std::uint32_t>(
-                        std::stoul(argv[++i]));
+                        parse_uint_flag(flag, argv[++i], 0, UINT32_MAX));
                 } else {
                     return usage();
                 }

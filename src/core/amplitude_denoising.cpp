@@ -69,13 +69,13 @@ std::vector<double> denoise_amplitude_series(
     return cleaned;
 }
 
-namespace {
-
-std::vector<double> ratio_of_denoised(std::span<const double> first_raw,
-                                      std::span<const double> second_raw,
-                                      const AmplitudeDenoiseConfig& config) {
-    const auto first = denoise_amplitude_series(first_raw, config);
-    const auto second = denoise_amplitude_series(second_raw, config);
+std::vector<double> denoised_amplitude_ratio(
+    const csi::CsiSeries& series, AntennaPair pair, std::size_t subcarrier,
+    const AmplitudeDenoiseConfig& config) {
+    const auto first = denoise_amplitude_series(
+        series.amplitude_series(pair.first, subcarrier), config);
+    const auto second = denoise_amplitude_series(
+        series.amplitude_series(pair.second, subcarrier), config);
     for (const double d : second) {
         ensure(d > 0.0, "denoised_amplitude_ratio: nonpositive denominator");
     }
@@ -84,37 +84,11 @@ std::vector<double> ratio_of_denoised(std::span<const double> first_raw,
     return ratio;
 }
 
-}  // namespace
-
-std::vector<double> denoised_amplitude_ratio(
-    const csi::CsiSeries& series, AntennaPair pair, std::size_t subcarrier,
-    const AmplitudeDenoiseConfig& config) {
-    return ratio_of_denoised(
-        series.amplitude_series(pair.first, subcarrier),
-        series.amplitude_series(pair.second, subcarrier), config);
-}
-
-std::vector<double> denoised_amplitude_ratio(
-    const csi::CsiSoa& soa, AntennaPair pair, std::size_t subcarrier,
-    const AmplitudeDenoiseConfig& config) {
-    return ratio_of_denoised(soa.amplitude_plane(pair.first, subcarrier),
-                             soa.amplitude_plane(pair.second, subcarrier),
-                             config);
-}
-
 double mean_amplitude_ratio(const csi::CsiSeries& series, AntennaPair pair,
                             std::size_t subcarrier,
                             const AmplitudeDenoiseConfig& config) {
     const auto ratio =
         denoised_amplitude_ratio(series, pair, subcarrier, config);
-    return dsp::mean(ratio);
-}
-
-double mean_amplitude_ratio(const csi::CsiSoa& soa, AntennaPair pair,
-                            std::size_t subcarrier,
-                            const AmplitudeDenoiseConfig& config) {
-    const auto ratio =
-        denoised_amplitude_ratio(soa, pair, subcarrier, config);
     return dsp::mean(ratio);
 }
 

@@ -26,8 +26,6 @@ struct AmplitudeDenoiseConfig {
     double outlier_k_sigma = 3.0;          ///< paper: the 3-sigma region
     bool remove_impulses = true;           ///< wavelet-correlation stage
     dsp::WaveletDenoiseConfig wavelet;     ///< stage-2 parameters
-
-    bool operator==(const AmplitudeDenoiseConfig&) const = default;
 };
 
 /// Cleans one amplitude time series (stages 1–2).
@@ -40,20 +38,9 @@ std::vector<double> denoised_amplitude_ratio(
     const csi::CsiSeries& series, AntennaPair pair, std::size_t subcarrier,
     const AmplitudeDenoiseConfig& config);
 
-/// SoA variant: reads the cached contiguous amplitude planes instead of
-/// materializing a fresh series per antenna per call.
-std::vector<double> denoised_amplitude_ratio(
-    const csi::CsiSoa& soa, AntennaPair pair, std::size_t subcarrier,
-    const AmplitudeDenoiseConfig& config);
-
 /// Mean cleaned amplitude ratio over the series (the scalar the material
 /// feature consumes).
 double mean_amplitude_ratio(const csi::CsiSeries& series, AntennaPair pair,
-                            std::size_t subcarrier,
-                            const AmplitudeDenoiseConfig& config);
-
-/// SoA variant of mean_amplitude_ratio.
-double mean_amplitude_ratio(const csi::CsiSoa& soa, AntennaPair pair,
                             std::size_t subcarrier,
                             const AmplitudeDenoiseConfig& config);
 

@@ -319,18 +319,6 @@ BaselineProfile::BaselineProfile(const csi::CsiSoa& baseline,
     }
 }
 
-void BaselineProfile::ensure_built_for(
-    const std::vector<AntennaPair>& pairs,
-    const std::vector<std::size_t>& subcarriers,
-    const FeatureConfig& config) const {
-    ensure(pairs == pairs_,
-           "BaselineProfile: built for different antenna pairs");
-    ensure(subcarriers == subcarriers_,
-           "BaselineProfile: built for different subcarriers");
-    ensure(config == config_,
-           "BaselineProfile: built for a different feature config");
-}
-
 MaterialMeasurement measure_material(const csi::CsiSeries& baseline,
                                      const csi::CsiSeries& target,
                                      AntennaPair pair,

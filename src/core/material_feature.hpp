@@ -45,8 +45,6 @@ struct GammaConfig {
     /// span ~0.01 (oil) to ~0.65 (honey); candidates outside are rejected.
     double min_abs_omega = 0.03;
     double max_abs_omega = 0.8;
-
-    bool operator==(const GammaConfig&) const = default;
 };
 
 /// One (pair, subcarrier) measurement and its derived feature.
@@ -70,8 +68,6 @@ struct FeatureConfig {
     /// ~0.2 rad) it bounds the noise amplification of the division
     /// instead of letting Omega blow up.
     double phase_ridge_rad = 0.12;
-
-    bool operator==(const FeatureConfig&) const = default;
 };
 
 /// Estimates the wrap count gamma: the integer in [-max_wraps, max_wraps]
@@ -112,13 +108,6 @@ public:
     /// Stable baseline ratio per cell, subcarrier-major (extract order):
     /// ratios()[s * pairs().size() + p] is subcarriers()[s], pairs()[p].
     std::span<const Complex> ratios() const { return ratios_; }
-
-    /// Throws unless `pairs`, `subcarriers` and `config` are exactly the
-    /// ones this profile was built for: a caller holding a profile next
-    /// to a separately stored selection checks they still agree.
-    void ensure_built_for(const std::vector<AntennaPair>& pairs,
-                          const std::vector<std::size_t>& subcarriers,
-                          const FeatureConfig& config) const;
 
 private:
     std::vector<AntennaPair> pairs_;

@@ -1,7 +1,5 @@
 #include "core/streaming_feature.hpp"
 
-#include <cmath>
-
 #include "common/error.hpp"
 #include "core/wimi.hpp"
 
@@ -49,28 +47,6 @@ WindowFeatureExtractor make_window_extractor(const Wimi& wimi,
     return WindowFeatureExtractor(std::move(baseline), wimi.pairs(),
                                   wimi.subcarriers(),
                                   wimi.config().feature);
-}
-
-double RunningPhaseCalibration::mean() const {
-    ensure(count_ > 0, "RunningPhaseCalibration::mean: no samples");
-    return std::atan2(sin_sum_, cos_sum_);
-}
-
-double RunningPhaseCalibration::resultant_length() const {
-    ensure(count_ > 0,
-           "RunningPhaseCalibration::resultant_length: no samples");
-    const double n = static_cast<double>(count_);
-    const double r =
-        std::sqrt(sin_sum_ * sin_sum_ + cos_sum_ * cos_sum_) / n;
-    return r > 1.0 ? 1.0 : r;
-}
-
-double RunningPhaseCalibration::stddev() const {
-    const double r = resultant_length();
-    if (r <= 0.0) {
-        return std::sqrt(-2.0 * std::log(1e-12));
-    }
-    return std::sqrt(-2.0 * std::log(r));
 }
 
 }  // namespace wimi::core

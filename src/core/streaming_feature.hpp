@@ -2,8 +2,8 @@
 //
 // The batch path recomputes everything from two whole CsiSeries per
 // identify() call. A sliding-window stream re-evaluates the same fixed
-// baseline against a different target window every hop, so two pieces of
-// state are worth keeping across windows:
+// baseline against a different target window every hop, so one piece of
+// state is worth keeping across windows:
 //
 //   * WindowFeatureExtractor — the baseline half of the feature (a
 //     core::BaselineProfile: the stable antenna ratio of every selected
@@ -13,26 +13,13 @@
 //     bit-identical to core::extract_feature_vector(baseline, window,
 //     ...) — that overload builds the same profile and runs the same
 //     loop — and therefore to Wimi::features on the same inputs.
-//
-//   * RunningPhaseCalibration — O(1)-per-packet circular accumulator for
-//     a phase-difference stream (sum of unit phasors). The windowed
-//     pipeline uses it to track the Eq. 7 calibration residual
-//     continuously without re-scanning the window, the streaming analog
-//     of the batch `quality.calib.residual_deg` probe. It is an
-//     *accumulator* (resettable per window), not a bit-parity surface:
-//     incremental summation orders floating-point adds differently from
-//     the batch circular_mean, so its outputs are quality telemetry,
-//     never feature inputs.
 #pragma once
 
-#include <cmath>
 #include <cstddef>
-#include <cstdint>
 #include <optional>
 #include <vector>
 
 #include "core/material_feature.hpp"
-#include "core/phase_calibration.hpp"
 #include "csi/frame.hpp"
 #include "csi/soa.hpp"
 
@@ -77,41 +64,5 @@ private:
 /// wimi.calibrated().
 WindowFeatureExtractor make_window_extractor(const Wimi& wimi,
                                              csi::CsiSeries baseline);
-
-/// O(1)-per-sample circular statistics over an angle stream (phase
-/// differences): unit-phasor sum with count.
-class RunningPhaseCalibration {
-public:
-    /// Folds one angle [rad] into the accumulator.
-    void add(double angle_rad) {
-        sin_sum_ += std::sin(angle_rad);
-        cos_sum_ += std::cos(angle_rad);
-        ++count_;
-    }
-
-    std::uint64_t count() const { return count_; }
-
-    /// Circular mean [rad]; requires count() >= 1.
-    double mean() const;
-
-    /// Mean resultant length R in [0, 1]; requires count() >= 1.
-    double resultant_length() const;
-
-    /// Circular standard deviation sqrt(-2 ln R) [rad]; requires
-    /// count() >= 1. This is the streaming Eq. 7-style residual.
-    double stddev() const;
-
-    /// Starts a fresh window.
-    void reset() {
-        sin_sum_ = 0.0;
-        cos_sum_ = 0.0;
-        count_ = 0;
-    }
-
-private:
-    double sin_sum_ = 0.0;
-    double cos_sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
 
 }  // namespace wimi::core

@@ -39,8 +39,6 @@ struct WaveletDenoiseConfig {
     /// Multiplier on the robust noise power estimate used as the stop
     /// threshold per scale.
     double noise_threshold_scale = 1.0;
-
-    bool operator==(const WaveletDenoiseConfig&) const = default;
 };
 
 /// Per-scale diagnostics for tests and the Fig. 7 bench.

@@ -174,7 +174,6 @@ void parallel_for(std::size_t n,
 
     const auto pool = acquire_pool();
 
-#if !defined(WIMI_OBS_DISABLED)
     if (obs::enabled()) {
         // Capture the submitting thread's causal context once per fan-out
         // and install a copy around every task, so spans opened inside
@@ -191,7 +190,6 @@ void parallel_for(std::size_t n,
         dispatch(pool, n, propagated, options);
         return;
     }
-#endif
     dispatch(pool, n, body, options);
 }
 

@@ -19,7 +19,7 @@
 // interning takes a lock only on the rare hot-swap path).
 //
 // The recorder is independent of the obs kill-switch: it has no macro
-// call sites to compile out, costs a handful of relaxed stores per
+// call sites, costs a handful of relaxed stores per
 // request, and a capacity of 0 disables it entirely (appends become
 // no-ops, dumps are empty).
 #pragma once

@@ -20,8 +20,7 @@
 // overridable at runtime.
 //
 // Prefer the WIMI_OBS_LOG_* macros in obs/obs.hpp: they honor the runtime
-// kill-switch, skip field evaluation below the threshold, and compile out
-// under WIMI_OBS_DISABLED.
+// kill-switch and skip field evaluation below the threshold.
 #pragma once
 
 #include <atomic>
@@ -117,12 +116,6 @@ LogField kv(std::string_view key, T value) {
     }
     return field;
 }
-
-/// Declared but never defined: the WIMI_OBS_DISABLED expansion of the log
-/// macros references field expressions through an unevaluated call to
-/// this, so they neither run nor draw unused-variable warnings.
-template <typename... Fields>
-int log_fields_unused(const Fields&...) noexcept;
 
 /// The process-wide structured logger behind the WIMI_OBS_LOG_* macros.
 class Logger {

@@ -14,8 +14,7 @@
 //      reset() zeroes values in place rather than destroying objects.
 //
 // Prefer the WIMI_OBS_* macros in obs/obs.hpp over direct registry calls:
-// they honor the runtime kill-switch and compile out under
-// WIMI_OBS_DISABLED.
+// they honor the runtime kill-switch.
 #pragma once
 
 #include <atomic>

@@ -1,7 +1,7 @@
 // Observability entry point: include this and use the WIMI_OBS_* macros.
 //
 // All pipeline instrumentation routes through these macros so one
-// compile-time switch controls everything:
+// runtime switch controls everything:
 //
 //   WIMI_TRACE_SPAN("wimi.identify");          // RAII stage span
 //   WIMI_OBS_COUNT("csi.packets_captured", n); // counter += n
@@ -10,12 +10,8 @@
 //   WIMI_OBS_LOG_INFO("sim.harness", "experiment started",
 //                     ::wimi::obs::kv("seed", seed));
 //
-// Building with -DWIMI_OBS_DISABLED (CMake: -DWIMI_ENABLE_OBS=OFF)
-// compiles every macro to nothing — the value expressions are referenced
-// in an unevaluated sizeof so variables computed for metrics do not draw
-// unused warnings, but no code runs. With observability compiled in,
-// obs::set_enabled(false) is the runtime kill-switch: each site then
-// costs one relaxed atomic load.
+// obs::set_enabled(false) is the kill-switch: each site then costs one
+// relaxed atomic load, and no metric operand or log field is evaluated.
 #pragma once
 
 #include "obs/context.hpp"
@@ -26,47 +22,6 @@
 
 #define WIMI_OBS_CONCAT_IMPL_(a, b) a##b
 #define WIMI_OBS_CONCAT_(a, b) WIMI_OBS_CONCAT_IMPL_(a, b)
-
-#if defined(WIMI_OBS_DISABLED)
-
-// Unevaluated: marks the operands as used without generating code.
-#define WIMI_OBS_VOID_(expr) \
-    static_cast<void>(sizeof(((void)(expr), 0)))
-
-// Guard for instrumentation-only computation: `if (WIMI_OBS_ENABLED())`
-// blocks fold to dead code when observability is compiled out.
-#define WIMI_OBS_ENABLED() false
-
-#define WIMI_TRACE_SPAN(name) WIMI_OBS_VOID_(name)
-#define WIMI_OBS_COUNT(name, n) \
-    static_cast<void>(sizeof(((void)(name), (void)(n), 0)))
-#define WIMI_OBS_GAUGE_SET(name, value) \
-    static_cast<void>(sizeof(((void)(name), (void)(value), 0)))
-#define WIMI_OBS_HISTOGRAM(name, value) \
-    static_cast<void>(sizeof(((void)(name), (void)(value), 0)))
-
-// Log macros compile out the same way: component/message/fields are
-// referenced inside an unevaluated sizeof (fields through the declared-
-// but-never-defined log_fields_unused) so no code runs and no operand
-// draws an unused warning.
-#define WIMI_OBS_LOG_IMPL_(component, message, ...)                   \
-    static_cast<void>(                                                \
-        sizeof(((void)(component), (void)(message),                   \
-                (void)sizeof(::wimi::obs::log_fields_unused(          \
-                    __VA_ARGS__)),                                    \
-                0)))
-#define WIMI_OBS_LOG_TRACE(component, message, ...) \
-    WIMI_OBS_LOG_IMPL_(component, message __VA_OPT__(, ) __VA_ARGS__)
-#define WIMI_OBS_LOG_DEBUG(component, message, ...) \
-    WIMI_OBS_LOG_IMPL_(component, message __VA_OPT__(, ) __VA_ARGS__)
-#define WIMI_OBS_LOG_INFO(component, message, ...) \
-    WIMI_OBS_LOG_IMPL_(component, message __VA_OPT__(, ) __VA_ARGS__)
-#define WIMI_OBS_LOG_WARN(component, message, ...) \
-    WIMI_OBS_LOG_IMPL_(component, message __VA_OPT__(, ) __VA_ARGS__)
-#define WIMI_OBS_LOG_ERROR(component, message, ...) \
-    WIMI_OBS_LOG_IMPL_(component, message __VA_OPT__(, ) __VA_ARGS__)
-
-#else
 
 #define WIMI_OBS_ENABLED() (::wimi::obs::enabled())
 
@@ -123,4 +78,3 @@
     WIMI_OBS_LOG_IMPL_(::wimi::obs::LogLevel::kError, component, \
                        message __VA_OPT__(, ) __VA_ARGS__)
 
-#endif  // WIMI_OBS_DISABLED

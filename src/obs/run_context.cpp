@@ -40,11 +40,6 @@ BuildInfo build_info() {
 #endif
     info.compiler = compiler_string();
     info.simd = simd::effective_isa();
-#if defined(WIMI_OBS_DISABLED)
-    info.obs_compiled_in = false;
-#else
-    info.obs_compiled_in = true;
-#endif
     return info;
 }
 

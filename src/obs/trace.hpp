@@ -9,7 +9,7 @@
 // ("Complete" events, ph = "X", nested by timestamp containment).
 //
 // Prefer the WIMI_TRACE_SPAN macro in obs/obs.hpp: it honors the runtime
-// kill-switch and compiles out under WIMI_OBS_DISABLED.
+// kill-switch.
 #pragma once
 
 #include <chrono>

@@ -81,7 +81,8 @@ Daemon::Daemon(DaemonOptions options)
            "Daemon: socket_path too long for sockaddr_un");
     ensure(options_.max_queue >= 1, "Daemon: max_queue must be >= 1");
     ensure(options_.max_batch >= 1, "Daemon: max_batch must be >= 1");
-    engine_ = InferenceEngine::load_cached(options_.model_path);
+    engine_ = std::make_shared<const InferenceEngine>(
+        InferenceEngine::load(options_.model_path));
     flight_.intern_digest(engine_->digest());
 }
 
@@ -229,11 +230,10 @@ bool Daemon::swap_model(const std::filesystem::path& path,
         ~SwapFlag() { flag.store(false, std::memory_order_relaxed); }
     } swap_flag(swap_in_progress_);
     try {
-        // load_cached revalidates against the artifact's current bytes
-        // (size+mtime fast path, digest on mismatch), so a model
-        // retrained in place — the common hot-reload shape — loads
-        // fresh instead of serving the stale cache entry.
-        auto next = InferenceEngine::load_cached(path);
+        // A fresh read of the file's current bytes: a model retrained in
+        // place (the common hot-reload shape) is what gets swapped in.
+        auto next = std::make_shared<const InferenceEngine>(
+            InferenceEngine::load(path));
         std::string old_digest;
         {
             const std::lock_guard<std::mutex> lock(engine_mutex_);

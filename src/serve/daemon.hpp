@@ -130,10 +130,9 @@ struct DaemonStats {
 
 class Daemon {
 public:
-    /// Loads the model (via the validating process-wide cache) and
-    /// prepares the socket state. Throws wimi::Error when the model
-    /// does not load or the socket path is unusable. Nothing runs
-    /// until start().
+    /// Loads the model and prepares the socket state. Throws wimi::Error
+    /// when the model does not load or the socket path is unusable.
+    /// Nothing runs until start().
     explicit Daemon(DaemonOptions options);
 
     /// stop()s.
@@ -158,8 +157,9 @@ public:
     /// Digest of the engine currently serving (changes on swap).
     std::string model_digest() const;
 
-    /// Atomically replaces the serving engine with the artifact at
-    /// `path`. In-flight batches finish on the old engine. On failure
+    /// Loads the artifact at `path` afresh (a file rewritten in place
+    /// yields its new bytes) and atomically replaces the serving engine
+    /// with it. In-flight batches finish on the old engine. On failure
     /// the old engine keeps serving, `error` (when non-null) gets the
     /// reason, and false is returned.
     bool swap_model(const std::filesystem::path& path,

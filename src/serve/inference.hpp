@@ -13,13 +13,9 @@
 //     the repo determinism contract — threads=N is bit-identical to
 //     threads=1, which runs the plain serial loop.
 //
-// Process-wide cache: load_cached() keys engines by canonical path so N
-// call sites serving the same artifact share one deserialized model.
-// A hit is revalidated against the file's current bytes — size + mtime
-// fast path, whole-file digest when those moved — so a model retrained
-// in place is reloaded, never served stale (the correctness foundation
-// of the daemon's hot-reload). Obs: `serve.model_load_us` (histogram),
-// `serve.cache.hits|misses|revalidations|stale_reloads` (counters),
+// Every load() reads the artifact's current bytes, so a model retrained
+// in place is what the next load (and the daemon's hot swap) serves.
+// Obs: `serve.model_load_us` (histogram),
 // `serve.batch.requests` (counter), `serve.batch.size` and
 // `serve.batch.wall_us` (histograms), plus the exec-layer
 // `exec.serve.batch.*` stage metrics from the fan-out itself.
@@ -27,7 +23,6 @@
 
 #include <cstddef>
 #include <filesystem>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -69,24 +64,6 @@ public:
     /// Records `serve.model_load_us`.
     static InferenceEngine load(const std::filesystem::path& path);
 
-    /// Like load(), but consults a process-wide cache keyed by canonical
-    /// path: the first call deserializes, later calls share the engine.
-    /// A hit is revalidated against the artifact's current size + mtime
-    /// (and, when those changed, its digest), so an artifact rewritten
-    /// in place yields a fresh engine instead of the stale cache entry.
-    /// Records `serve.cache.hits` / `serve.cache.misses` /
-    /// `serve.cache.revalidations` / `serve.cache.stale_reloads`.
-    static std::shared_ptr<const InferenceEngine> load_cached(
-        const std::filesystem::path& path);
-
-    /// Drops the cached engine for `path` (same key resolution as
-    /// load_cached); the next load_cached deserializes fresh. No-op
-    /// when the path is not cached.
-    static void invalidate(const std::filesystem::path& path);
-
-    /// Drops every cached engine (test isolation).
-    static void clear_cache();
-
     const TrainedModel& model() const { return model_; }
     const ModelInfo& info() const { return info_; }
 
@@ -120,11 +97,5 @@ private:
     TrainedModel model_;
     ModelInfo info_;
 };
-
-/// The cache key load_cached()/invalidate() use for `path`: the weakly
-/// canonical form, falling back to absolute().lexically_normal() when
-/// canonicalization fails — so relative and absolute spellings of one
-/// artifact always share a single cache slot.
-std::string model_cache_key(const std::filesystem::path& path);
 
 }  // namespace wimi::serve

@@ -1,11 +1,8 @@
 #include "stream/pipeline.hpp"
 
 #include <chrono>
-#include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
-#include "common/math.hpp"
 #include "core/wimi.hpp"
 #include "obs/obs.hpp"
 
@@ -70,17 +67,6 @@ WindowResult StreamingPipeline::evaluate(const WindowPlan& plan) {
         names_[result.raw_label] = result.raw_name;
     }
 
-    // Streaming calibration quality: circular stddev of the reference
-    // pair's phase-difference stream at the first selected subcarrier.
-    const core::AntennaPair ref_pair = extractor_.pairs().front();
-    const std::size_t ref_sc = extractor_.subcarriers().front();
-    calib_.reset();
-    for (const csi::CsiFrame& f : scratch_window_.frames) {
-        calib_.add(wrap_to_pi(f.phase(ref_pair.first, ref_sc) -
-                              f.phase(ref_pair.second, ref_sc)));
-    }
-    result.calib_residual_deg = rad_to_deg(calib_.stddev());
-
     if (gate_.has_value()) {
         gate_->add(result.features);
         if (gate_->ready()) {
@@ -144,7 +130,6 @@ void StreamingPipeline::reset() {
     if (gate_.has_value()) {
         gate_->reset();
     }
-    calib_.reset();
     drift_gated_ = 0;
 }
 

@@ -76,9 +76,6 @@ struct WindowResult {
     int stable_label = -1;
     std::string stable_name;
     bool changed = false;  ///< stable label flipped at this window
-    /// Streaming Eq. 7-style calibration residual [deg] of the reference
-    /// antenna pair at the first selected subcarrier, over this window.
-    double calib_residual_deg = 0.0;
     /// Mean PSI of the recent feature pool vs the training reference;
     /// NaN until the gate is present and warmed up.
     double psi = 0.0;
@@ -130,7 +127,6 @@ private:
     WindowPlanner planner_;
     DecisionSmoother smoother_;
     std::optional<ml::OnlinePsiGate> gate_;
-    core::RunningPhaseCalibration calib_;
     csi::CsiSeries scratch_window_;  ///< reused across evaluations
     std::map<int, std::string> names_;  ///< label -> name memo
     std::uint64_t drift_gated_ = 0;

@@ -80,9 +80,6 @@ TEST(RatioStability, CommonModeGainCancels) {
 }
 
 TEST(RecordSignalQuality, PopulatesRegistryWhenEnabled) {
-#if defined(WIMI_OBS_DISABLED)
-    GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)";
-#endif
     obs::set_enabled(true);
     obs::registry().reset();
     const auto series = synthetic_series({1.0, 2.0, 3.0}, {0.0, 0.1, 0.2},
@@ -130,9 +127,6 @@ TEST(RatioStability, ZeroDenominatorFrameIsSkipped) {
 }
 
 TEST(RecordSignalQuality, ZeroAmplitudeCellDoesNotThrow) {
-#if defined(WIMI_OBS_DISABLED)
-    GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)";
-#endif
     obs::set_enabled(true);
     obs::registry().reset();
     auto series = synthetic_series({1.0, 2.0, 3.0}, {0.0, 0.1, 0.2}, 40,

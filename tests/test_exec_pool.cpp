@@ -140,7 +140,6 @@ TEST_F(ExecTest, PoolOfOneHasNoWorkers) {
     EXPECT_EQ(order.back(), 15u);
 }
 
-#if !defined(WIMI_OBS_DISABLED)
 TEST_F(ExecTest, FanOutBumpsTheTaskCounter) {
     obs::set_enabled(true);
     exec::set_thread_count(2);
@@ -162,6 +161,5 @@ TEST_F(ExecTest, LabeledRegionRecordsWallAndCpuHistograms) {
     EXPECT_EQ(wall.count(), wall_before + 1);
     EXPECT_EQ(cpu.count(), cpu_before + 1);
 }
-#endif  // !WIMI_OBS_DISABLED
 
 }  // namespace

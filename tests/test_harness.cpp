@@ -124,9 +124,6 @@ TEST(Harness, ExperimentAppendsRunManifestToLedger) {
 }
 
 TEST(Harness, PsiReferencePublishesDriftGauges) {
-#if defined(WIMI_OBS_DISABLED)
-    GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)";
-#endif
     const std::string path = testing::TempDir() + "wimi_harness_psi.json";
     const auto config = small_experiment();
     const auto wimi = make_calibrated_wimi(config);

@@ -1,16 +1,13 @@
 // Tests for the serving path: InferenceEngine over a persisted model.
 //
 // The properties that make "train once, infer many" trustworthy: a
-// loaded engine predicts exactly like the training process did, batched
-// prediction is bit-identical to serial at every thread width, and the
-// process-wide cache hands every caller the same deserialized model.
+// loaded engine predicts exactly like the training process did, and batched
+// prediction is bit-identical to serial at every thread width.
 #include "serve/inference.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include "common/error.hpp"
@@ -89,132 +86,6 @@ TEST(Inference, LoadedEnginePredictsLikeTheOriginal) {
     const sim::ModelPredictions b = sim::predict_experiment(loaded, eval);
     EXPECT_EQ(a.predicted, b.predicted);
     std::filesystem::remove(path);
-}
-
-TEST(Inference, CacheSharesOneEngine) {
-    const auto path = testutil::scratch_dir() /
-                      "wimi_inference_cache.wmdl";
-    save_model_file(path, trained_model());
-    InferenceEngine::clear_cache();
-    const auto first = InferenceEngine::load_cached(path);
-    const auto second = InferenceEngine::load_cached(path);
-    EXPECT_EQ(first.get(), second.get());
-    InferenceEngine::clear_cache();
-    const auto third = InferenceEngine::load_cached(path);
-    EXPECT_NE(first.get(), third.get());
-    InferenceEngine::clear_cache();
-    std::filesystem::remove(path);
-}
-
-/// A second artifact with different bytes than trained_model(): fewer
-/// liquids trains fast and guarantees a different digest.
-const TrainedModel& alternate_model() {
-    static const TrainedModel model = [] {
-        sim::ExperimentConfig config = small_config(15);
-        config.liquids = {rf::Liquid::kPureWater, rf::Liquid::kMilk,
-                          rf::Liquid::kHoney};
-        config.repetitions = 4;
-        return sim::train_experiment_model(config);
-    }();
-    return model;
-}
-
-/// Regression: the cache used to key purely on path and never look at
-/// the file again, so an artifact retrained in place kept serving the
-/// stale first load — exactly the daemon hot-reload shape.
-TEST(Inference, CacheReloadsRewrittenArtifact) {
-    const auto path = testutil::scratch_dir() /
-                      "wimi_inference_rewrite.wmdl";
-    save_model_file(path, trained_model());
-    InferenceEngine::clear_cache();
-    const auto stale = InferenceEngine::load_cached(path);
-    const std::string old_digest = stale->digest();
-
-    save_model_file(path, alternate_model());
-    // Force a distinct mtime so the size+mtime fast path cannot mask
-    // the rewrite even on a coarse-timestamp filesystem.
-    std::filesystem::last_write_time(
-        path,
-        std::filesystem::last_write_time(path) + std::chrono::seconds(1));
-    const std::string new_digest = model_file_digest(path);
-    ASSERT_NE(new_digest, old_digest);
-
-    const auto fresh = InferenceEngine::load_cached(path);
-    EXPECT_NE(fresh.get(), stale.get());
-    EXPECT_EQ(fresh->digest(), new_digest);
-    // The stale engine stays valid for anyone still holding it.
-    EXPECT_EQ(stale->digest(), old_digest);
-    InferenceEngine::clear_cache();
-    std::filesystem::remove(path);
-}
-
-TEST(Inference, CacheSurvivesMtimeBumpWithSameBytes) {
-    const auto path = testutil::scratch_dir() /
-                      "wimi_inference_touch.wmdl";
-    save_model_file(path, trained_model());
-    InferenceEngine::clear_cache();
-    const auto first = InferenceEngine::load_cached(path);
-    // A bare touch moves mtime but not content: revalidation hashes the
-    // file, sees the same bytes, and keeps the shared engine.
-    std::filesystem::last_write_time(
-        path,
-        std::filesystem::last_write_time(path) + std::chrono::seconds(1));
-    const auto second = InferenceEngine::load_cached(path);
-    EXPECT_EQ(first.get(), second.get());
-    InferenceEngine::clear_cache();
-    std::filesystem::remove(path);
-}
-
-TEST(Inference, InvalidateDropsOnePath) {
-    const auto dir = testutil::scratch_dir();
-    const auto path_a = dir / "wimi_inference_inv_a.wmdl";
-    const auto path_b = dir / "wimi_inference_inv_b.wmdl";
-    save_model_file(path_a, trained_model());
-    save_model_file(path_b, trained_model());
-    InferenceEngine::clear_cache();
-    const auto a1 = InferenceEngine::load_cached(path_a);
-    const auto b1 = InferenceEngine::load_cached(path_b);
-    InferenceEngine::invalidate(path_a);
-    EXPECT_NE(InferenceEngine::load_cached(path_a).get(), a1.get());
-    EXPECT_EQ(InferenceEngine::load_cached(path_b).get(), b1.get());
-    // Unknown paths are a no-op, not an error.
-    InferenceEngine::invalidate("/nonexistent/nothing.wmdl");
-    InferenceEngine::clear_cache();
-    std::filesystem::remove(path_a);
-    std::filesystem::remove(path_b);
-}
-
-/// Regression: when canonicalization failed, the old fallback key was
-/// the raw path string, so "model.wmdl" spelled via a dot-dot detour
-/// landed in a different cache slot than its plain spelling — two
-/// engines for one artifact, and invalidate() missing one of them.
-TEST(Inference, CacheKeyNormalizesAliasedSpellings) {
-    const auto dir = testutil::scratch_dir();
-    const auto plain = dir / "wimi_inference_alias.wmdl";
-    save_model_file(plain, trained_model());
-
-    // Dot and dot-dot detours over existing directories.
-    EXPECT_EQ(model_cache_key(plain), model_cache_key(dir / "." /
-                                                      plain.filename()));
-    EXPECT_EQ(model_cache_key(plain),
-              model_cache_key(dir / "missing_dir" / ".." /
-                              plain.filename()));
-
-    // A detour through a *regular file* makes weakly_canonical throw
-    // (ENOTDIR); the fallback must still normalize, not key on the raw
-    // spelling.
-    const auto blocker = dir / "wimi_inference_alias_blocker";
-    { std::ofstream(blocker) << "not a directory"; }
-    const auto detour = dir / blocker.filename() / ".." /
-                        plain.filename();
-    EXPECT_EQ(model_cache_key(plain), model_cache_key(detour));
-
-    InferenceEngine::clear_cache();
-    const auto direct = InferenceEngine::load_cached(plain);
-    EXPECT_EQ(InferenceEngine::load_cached(detour).get(), direct.get());
-    InferenceEngine::clear_cache();
-    std::filesystem::remove(blocker);
-    std::filesystem::remove(plain);
 }
 
 TEST(Inference, SinglePredictMatchesBatch) {

@@ -328,32 +328,6 @@ TEST(BaselineProfile, RejectsTargetOfOtherDimensions) {
         Error);
 }
 
-TEST(BaselineProfile, RejectsSelectionOrConfigItWasNotBuiltFor) {
-    const SyntheticTarget t = noisy_target(40, 64);
-    const BaselineProfile profile(csi::CsiSoa(t.baseline), kProfilePairs,
-                                  kProfileSubcarriers, {});
-    EXPECT_NO_THROW(
-        profile.ensure_built_for(kProfilePairs, kProfileSubcarriers, {}));
-    EXPECT_THROW(profile.ensure_built_for({{0, 1}, {0, 2}},
-                                          kProfileSubcarriers, {}),
-                 Error);
-    EXPECT_THROW(profile.ensure_built_for({{0, 1}, {1, 2}, {0, 2}},
-                                          kProfileSubcarriers, {}),
-                 Error);
-    EXPECT_THROW(profile.ensure_built_for(kProfilePairs, {0, 5, 11}, {}),
-                 Error);
-    FeatureConfig other;
-    other.denoise.wavelet.levels = 3;
-    EXPECT_THROW(
-        profile.ensure_built_for(kProfilePairs, kProfileSubcarriers, other),
-        Error);
-    other = {};
-    other.phase_ridge_rad = 0.2;
-    EXPECT_THROW(
-        profile.ensure_built_for(kProfilePairs, kProfileSubcarriers, other),
-        Error);
-}
-
 TEST(BaselineProfile, ValidatesItsBaselineAndSelection) {
     const SyntheticTarget t = noisy_target(40, 64);
     const csi::CsiSoa baseline(t.baseline);

@@ -27,16 +27,6 @@
 namespace wimi::obs {
 namespace {
 
-// The exec bridge (context capture at submission) and the log macros
-// compile out under -DWIMI_ENABLE_OBS=OFF, so the cross-thread
-// propagation tests have nothing to observe in that flavor.
-#if defined(WIMI_OBS_DISABLED)
-#define WIMI_SKIP_WITHOUT_OBS() \
-    GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)"
-#else
-#define WIMI_SKIP_WITHOUT_OBS() static_cast<void>(0)
-#endif
-
 /// Rebuilds the global exec pool with real worker threads for the
 /// duration of a test (the container may report one hardware thread, in
 /// which case the default pool has no workers and every fan-out would
@@ -159,7 +149,6 @@ TEST(ObsContext, SequentialRootSpansGetDistinctTraces) {
 // reference a parent span that exists in the exported trace, in the same
 // trace, across real worker threads.
 TEST(ObsContext, PoolWorkerSpansResolveToSubmittingParent) {
-    WIMI_SKIP_WITHOUT_OBS();
     set_enabled(true);
     trace_reset();
     const ScopedPool pool(4);
@@ -225,7 +214,6 @@ TEST(ObsContext, PoolWorkerSpansResolveToSubmittingParent) {
 }
 
 TEST(ObsContext, WorkerLogLinesCarryOriginatingTraceId) {
-    WIMI_SKIP_WITHOUT_OBS();
     set_enabled(true);
     trace_reset();
     const std::string path =

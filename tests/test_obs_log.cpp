@@ -26,20 +26,9 @@
 namespace wimi::obs {
 namespace {
 
-// The WIMI_OBS_LOG_* macros compile to nothing under
-// -DWIMI_ENABLE_OBS=OFF, so the line-emission tests have nothing to
-// observe in that flavor (same idiom as test_obs_context).
-#if defined(WIMI_OBS_DISABLED)
-#define WIMI_SKIP_WITHOUT_OBS() \
-    GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)"
-#else
-#define WIMI_SKIP_WITHOUT_OBS() static_cast<void>(0)
-#endif
-
 class ObsLogTest : public ::testing::Test {
 protected:
     void SetUp() override {
-        WIMI_SKIP_WITHOUT_OBS();
         set_enabled(true);
         path_ = (testutil::scratch_dir() /
                  ("wimi_log_test_" +

@@ -24,15 +24,6 @@
 namespace wimi::obs {
 namespace {
 
-// The pipeline tests read the domain instrumentation, which a
-// -DWIMI_ENABLE_OBS=OFF build compiles out entirely.
-#if defined(WIMI_OBS_DISABLED)
-#define WIMI_SKIP_WITHOUT_OBS() \
-    GTEST_SKIP() << "instrumentation compiled out (WIMI_ENABLE_OBS=OFF)"
-#else
-#define WIMI_SKIP_WITHOUT_OBS() static_cast<void>(0)
-#endif
-
 /// Runs calibrate -> enroll -> train -> identify once, populating the
 /// global registry and trace buffers.
 void run_small_pipeline() {
@@ -73,7 +64,6 @@ std::string read_file(const std::string& path) {
 }
 
 TEST(ObsReport, PipelinePopulatesAtLeastTenMetrics) {
-    WIMI_SKIP_WITHOUT_OBS();
     run_small_pipeline();
     EXPECT_GE(registry().size(), 10u);
 
@@ -91,7 +81,6 @@ TEST(ObsReport, PipelinePopulatesAtLeastTenMetrics) {
 }
 
 TEST(ObsReport, MetricsJsonRoundTripsAgainstRegistry) {
-    WIMI_SKIP_WITHOUT_OBS();
     run_small_pipeline();
     const json::Value doc = json::parse(metrics_to_json());
     ASSERT_TRUE(doc.is_object());
@@ -166,7 +155,6 @@ TEST(ObsReport, NonFiniteValuesSerializeAsNullAndParseBack) {
 }
 
 TEST(ObsReport, ChromeTraceRoundTripsWithNestedPipelineSpans) {
-    WIMI_SKIP_WITHOUT_OBS();
     run_small_pipeline();
     const json::Value doc = json::parse(trace_to_json());
     const json::Value* events = doc.find("traceEvents");

@@ -30,11 +30,7 @@ std::vector<std::string> read_lines(const std::string& path) {
 TEST(RunContext, BuildInfoIsPopulated) {
     const BuildInfo info = build_info();
     EXPECT_FALSE(info.compiler.empty());
-#if defined(WIMI_OBS_DISABLED)
-    EXPECT_FALSE(info.obs_compiled_in);
-#else
     EXPECT_TRUE(info.obs_compiled_in);
-#endif
 }
 
 TEST(RunContext, ConfigDigestIsStableAndDiscriminates) {

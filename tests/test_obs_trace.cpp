@@ -87,8 +87,6 @@ TEST(ObsTrace, NestedSpansRecordDepthAndContainment) {
 TEST(ObsTrace, ChromeExportPreservesNestedOrdering) {
     set_enabled(true);
     trace_reset();
-    // Direct TraceSpan objects (not the macro) so this export test also
-    // runs in a -DWIMI_ENABLE_OBS=OFF build, where the macro is a no-op.
     {
         TraceSpan parent("stage.parent");
         spin_at_least(std::chrono::microseconds(200));

@@ -23,6 +23,7 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "common/error.hpp"
 #include "obs/context.hpp"
 #include "obs/json.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/inference.hpp"
 #include "serve/model_io.hpp"
@@ -305,6 +307,41 @@ TEST(ServeDaemon, SwapFailureKeepsOldModelServing) {
     EXPECT_EQ(daemon.stats().swaps, 0u);
 }
 
+/// In-place hot reload: the artifact at the serving path is rewritten
+/// with a retrained model and swapped to by the same path. The daemon
+/// must serve the new bytes, not what it loaded from that path before.
+TEST(ServeDaemon, SwapToRewrittenPathServesNewDigest) {
+    const auto path =
+        testutil::scratch_dir() / "wimi_serve_test_rewrite.wmdl";
+    std::filesystem::copy_file(
+        fixture().model_a, path,
+        std::filesystem::copy_options::overwrite_existing);
+    DaemonOptions options = base_options("rewrite");
+    options.model_path = path.string();
+    Daemon daemon(options);
+    daemon.start();
+    EXPECT_EQ(daemon.model_digest(), fixture().digest_a);
+
+    std::filesystem::copy_file(
+        fixture().model_b, path,
+        std::filesystem::copy_options::overwrite_existing);
+    // Move the mtime forward too, as a retrain minutes later would.
+    std::filesystem::last_write_time(
+        path,
+        std::filesystem::last_write_time(path) + std::chrono::seconds(1));
+    std::string swap_error;
+    ASSERT_TRUE(daemon.swap_model(path, &swap_error)) << swap_error;
+    EXPECT_EQ(daemon.model_digest(), fixture().digest_b);
+
+    ServeClient client(daemon.socket_path());
+    const ClientResult pong = client.ping();
+    ASSERT_TRUE(pong.ok()) << pong.message;
+    EXPECT_EQ(pong.model_digest, fixture().digest_b);
+    daemon.stop();
+    EXPECT_EQ(daemon.stats().swaps, 1u);
+    std::filesystem::remove(path);
+}
+
 TEST(ServeDaemon, StopDrainsAdmittedRequests) {
     DaemonOptions options = base_options("drain");
     options.max_batch = 1;  // serialize: the queue stays occupied
@@ -424,9 +461,7 @@ TEST(ServeDaemon, TracePropagationCrossesTheSocket) {
 
     // A caller with an active trace context: the client must stamp it
     // on the wire (v2) and the daemon must echo the same trace id plus
-    // its own request span id. Installing the context directly (rather
-    // than via WIMI_TRACE_SPAN) keeps this meaningful in obs-off builds
-    // too — propagation is wire-level, not macro-level.
+    // its own request span id.
     obs::ObsContext caller;
     caller.trace_id = 0x000ABCDEF012345ull;
     caller.span_id = 0x000001111222233ull;
@@ -457,6 +492,49 @@ TEST(ServeDaemon, TracePropagationCrossesTheSocket) {
             record.sample.trace_id == caller.trace_id;
     }
     EXPECT_TRUE(saw_caller_trace);
+}
+
+/// With the obs kill-switch thrown, spans, metrics and logs go quiet, but
+/// trace propagation is wire contract and the flight ring and tail
+/// sampler are always on: every traced request is echoed, recorded and
+/// given a sampler decision.
+TEST(ServeDaemon, ObsOffKeepsTraceEchoFlightAndSampler) {
+    struct ObsOff {
+        ObsOff() { obs::set_enabled(false); }
+        ~ObsOff() { obs::set_enabled(true); }
+    } obs_off;
+    Daemon daemon(base_options("obsoff"));
+    daemon.start();
+
+    constexpr std::uint64_t kRequests = 16;
+    constexpr std::uint64_t kFirstTrace = 0x000F00D000000001ull;
+    {
+        ServeClient client(daemon.socket_path());
+        for (std::uint64_t i = 0; i < kRequests; ++i) {
+            obs::ObsContext caller;
+            caller.trace_id = kFirstTrace + i;
+            caller.span_id = 0x0000000000001000ull + i;
+            const obs::ScopedObsContext scope(caller);
+            const ClientResult result =
+                client.predict_features(valid_features());
+            ASSERT_TRUE(result.ok()) << result.message;
+            EXPECT_EQ(result.trace_id, caller.trace_id);
+        }
+    }
+    daemon.stop();
+
+    std::set<std::uint64_t> recorded;
+    for (const obs::FlightRecord& record :
+         daemon.flight_recorder().snapshot()) {
+        recorded.insert(record.sample.trace_id);
+    }
+    for (std::uint64_t i = 0; i < kRequests; ++i) {
+        EXPECT_EQ(recorded.count(kFirstTrace + i), 1u) << "request " << i;
+    }
+    const DaemonStats stats = daemon.stats();
+    EXPECT_EQ(stats.admitted, kRequests);
+    EXPECT_EQ(stats.flight_records, kRequests);
+    EXPECT_EQ(stats.sampler_retained + stats.sampler_dropped, kRequests);
 }
 
 TEST(ServeDaemon, StatsHealthAndFlightServeOverTheSocket) {

@@ -340,9 +340,6 @@ TEST(TraceFaultInjection, NonFinitePayloadCaughtByFiniteCheck) {
 // --- obs counters match the injected corruption exactly -----------------
 
 TEST(TraceFaultInjection, ObsCountersMatchInjectedCorruption) {
-    if (!WIMI_OBS_ENABLED()) {
-        GTEST_SKIP() << "observability compiled out";
-    }
     obs::set_enabled(true);
     const auto series = sample_series();
     std::string bytes = fault::serialize(series, kTraceVersion2);

@@ -37,6 +37,7 @@
 //                                          --follow, tail it while it grows)
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -46,6 +47,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "core/amplitude_denoising.hpp"
@@ -605,7 +607,7 @@ int main(int argc, char** argv) {
                 } else if (flag == "--telemetry-out") {
                     telemetry_out = argv[i + 1];
                 } else if (flag == "--max-frames") {
-                    max_frames = std::stoull(argv[i + 1]);
+                    max_frames = parse_uint_flag(flag, argv[i + 1]);
                 } else {
                     return usage();
                 }
@@ -633,14 +635,14 @@ int main(int argc, char** argv) {
                 } else if (flag == "--psi-ref") {
                     args.psi_ref = value;
                 } else if (flag == "--window") {
-                    args.window = std::stoul(value);
+                    args.window = parse_uint_flag(flag, value);
                 } else if (flag == "--hop") {
-                    args.hop = std::stoul(value);
+                    args.hop = parse_uint_flag(flag, value);
                 } else if (flag == "--idle-timeout-ms") {
-                    args.idle_timeout_ms =
-                        static_cast<std::uint32_t>(std::stoul(value));
+                    args.idle_timeout_ms = static_cast<std::uint32_t>(
+                        parse_uint_flag(flag, value, 0, UINT32_MAX));
                 } else if (flag == "--max-windows") {
-                    args.max_windows = std::stoull(value);
+                    args.max_windows = parse_uint_flag(flag, value);
                 } else if (flag == "--policy") {
                     if (value == "strict") {
                         args.policy = csi::ReadPolicy::kStrict;
@@ -667,14 +669,16 @@ int main(int argc, char** argv) {
             return cmd_verify(path);
         }
         if (command == "pdp") {
-            return cmd_pdp(path,
-                           argc > 3 ? std::stoul(argv[3]) - 1 : 0);
+            const std::size_t antenna =
+                argc > 3 ? parse_uint_flag("antenna", argv[3], 1) : 1;
+            return cmd_pdp(path, antenna - 1);
         }
         if (command == "phase") {
             if (argc < 4) {
                 return usage();
             }
-            return cmd_phase(path, std::stoul(argv[3]) - 1);
+            return cmd_phase(path,
+                             parse_uint_flag("antenna", argv[3], 1) - 1);
         }
         if (command == "generate") {
             return cmd_generate(path, argc > 3 ? argv[3] : "lab");

@@ -45,6 +45,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "obs/exporter.hpp"
 #include "obs/json.hpp"
@@ -572,7 +573,7 @@ int main(int argc, char** argv) {
         if (command == "tail") {
             std::size_t n = 10;
             if (argc == 5 && std::string_view(argv[3]) == "-n") {
-                n = std::stoul(argv[4]);
+                n = parse_uint_flag("-n", argv[4]);
             } else if (argc != 3) {
                 return usage();
             }

@@ -60,6 +60,7 @@
 
 #include <fstream>
 
+#include "common/cli.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "obs/exporter.hpp"
@@ -106,19 +107,17 @@ Options parse_options(int argc, char** argv, int first_flag) {
         if (flag == "--socket") {
             options.socket_path = value;
         } else if (flag == "--max-queue") {
-            options.max_queue = std::stoul(value);
+            options.max_queue = parse_uint_flag(flag, value, 1);
         } else if (flag == "--max-batch") {
-            options.max_batch = std::stoul(value);
+            options.max_batch = parse_uint_flag(flag, value, 1);
         } else if (flag == "--threads") {
-            options.threads = std::stoul(value);
+            options.threads = parse_uint_flag(flag, value);
         } else if (flag == "--log-out") {
             options.log_out = value;
         } else if (flag == "--telemetry-out") {
             options.telemetry_out = value;
         } else if (flag == "--telemetry-interval-ms") {
-            options.telemetry_interval_ms = std::stoull(value);
-            ensure(options.telemetry_interval_ms >= 1,
-                   "--telemetry-interval-ms must be >= 1");
+            options.telemetry_interval_ms = parse_uint_flag(flag, value, 1);
         } else if (flag == "--run-out") {
             options.run_out = value;
         } else if (flag == "--trace-out") {
@@ -126,16 +125,15 @@ Options parse_options(int argc, char** argv, int first_flag) {
         } else if (flag == "--flight-snapshot") {
             options.flight_snapshot = value;
         } else if (flag == "--flight-capacity") {
-            options.flight_capacity = std::stoul(value);
+            options.flight_capacity = parse_uint_flag(flag, value);
         } else if (flag == "--out") {
             options.out = value;
         } else if (flag == "--env") {
             options.env = value;
         } else if (flag == "--seed") {
-            options.seed = std::stoull(value);
+            options.seed = parse_uint_flag(flag, value);
         } else if (flag == "--count") {
-            options.count = std::stoul(value);
-            ensure(options.count >= 1, "--count must be >= 1");
+            options.count = parse_uint_flag(flag, value, 1);
         } else {
             fail("unknown flag " + std::string(flag));
         }

@@ -84,45 +84,6 @@ std::vector<double> denoised_amplitude_ratio(
     return ratio;
 }
 
-double mean_amplitude_ratio(const csi::CsiSeries& series, AntennaPair pair,
-                            std::size_t subcarrier,
-                            const AmplitudeDenoiseConfig& config) {
-    const auto ratio =
-        denoised_amplitude_ratio(series, pair, subcarrier, config);
-    return dsp::mean(ratio);
-}
-
-namespace {
-
-template <typename Mask>
-void count_masked(const Mask& mask) {
-    if (WIMI_OBS_ENABLED()) {
-        const auto masked = static_cast<std::uint64_t>(
-            std::count(mask.begin(), mask.end(), false));
-        WIMI_OBS_COUNT("denoise.outliers_clipped", masked);
-    }
-}
-
-}  // namespace
-
-std::vector<bool> inlier_packet_mask(const csi::CsiSeries& series,
-                                     AntennaPair pair,
-                                     std::size_t subcarrier,
-                                     double k_sigma) {
-    ensure(!series.empty(), "inlier_packet_mask: empty series");
-    std::vector<bool> mask(series.packet_count(), true);
-    for (const std::size_t antenna : {pair.first, pair.second}) {
-        const auto amplitudes =
-            series.amplitude_series(antenna, subcarrier);
-        for (const std::size_t i :
-             dsp::sigma_outlier_indices(amplitudes, k_sigma)) {
-            mask[i] = false;
-        }
-    }
-    count_masked(mask);
-    return mask;
-}
-
 void inlier_packet_mask(const csi::CsiSoa& soa, AntennaPair pair,
                         std::size_t subcarrier, double k_sigma,
                         std::vector<char>& inlier) {
@@ -131,7 +92,11 @@ void inlier_packet_mask(const csi::CsiSoa& soa, AntennaPair pair,
         dsp::mask_sigma_outliers(soa.amplitude_plane(antenna, subcarrier),
                                  k_sigma, inlier);
     }
-    count_masked(inlier);
+    if (WIMI_OBS_ENABLED()) {
+        WIMI_OBS_COUNT("denoise.outliers_clipped",
+                       static_cast<std::uint64_t>(
+                           std::count(inlier.begin(), inlier.end(), 0)));
+    }
 }
 
 namespace {

@@ -38,12 +38,6 @@ std::vector<double> denoised_amplitude_ratio(
     const csi::CsiSeries& series, AntennaPair pair, std::size_t subcarrier,
     const AmplitudeDenoiseConfig& config);
 
-/// Mean cleaned amplitude ratio over the series (the scalar the material
-/// feature consumes).
-double mean_amplitude_ratio(const csi::CsiSeries& series, AntennaPair pair,
-                            std::size_t subcarrier,
-                            const AmplitudeDenoiseConfig& config);
-
 /// Variance of the (uncleaned) per-antenna amplitude and of the amplitude
 /// ratio at each subcarrier — the Fig. 8 comparison.
 struct AmplitudeVarianceReport {
@@ -63,19 +57,14 @@ AmplitudeVarianceReport amplitude_variance_report(
 AmplitudeVarianceReport amplitude_variance_report(const csi::CsiSoa& soa,
                                                   AntennaPair pair);
 
-/// Per-packet inlier mask: true when the packet's amplitude at this
+/// Per-packet inlier mask: 1 when the packet's amplitude at this
 /// subcarrier is within k_sigma of the mean on *both* antennas of the
 /// pair. Packets flagged here carry impulse bursts or AGC glitches, and
 /// the pipeline excludes them from phase averaging too — a corrupted
 /// amplitude sample means the complex CSI (and hence its phase) is
-/// untrustworthy for that packet.
-std::vector<bool> inlier_packet_mask(const csi::CsiSeries& series,
-                                     AntennaPair pair,
-                                     std::size_t subcarrier, double k_sigma);
-
-/// SoA variant of inlier_packet_mask over a caller-owned mask: `inlier`
-/// is resized to soa.packet_count() and overwritten (1 = inlier), so a
-/// caller masking many cells reuses its storage.
+/// untrustworthy for that packet. `inlier` is resized to
+/// soa.packet_count() and overwritten, so a caller masking many cells
+/// reuses its storage.
 void inlier_packet_mask(const csi::CsiSoa& soa, AntennaPair pair,
                         std::size_t subcarrier, double k_sigma,
                         std::vector<char>& inlier);

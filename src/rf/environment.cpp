@@ -28,4 +28,17 @@ std::string_view environment_name(Environment environment) {
     return environment_spec(environment).name;
 }
 
+Environment parse_environment(std::string_view name) {
+    if (name == "hall") {
+        return Environment::kHall;
+    }
+    if (name == "lab") {
+        return Environment::kLab;
+    }
+    if (name == "library") {
+        return Environment::kLibrary;
+    }
+    fail("unknown environment (use hall | lab | library)");
+}
+
 }  // namespace wimi::rf

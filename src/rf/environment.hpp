@@ -45,4 +45,8 @@ const EnvironmentSpec& environment_spec(Environment environment);
 /// Human-readable name ("Hall", "Lab", "Library").
 std::string_view environment_name(Environment environment);
 
+/// The environment a command line names: "hall", "lab" or "library".
+/// Throws wimi::Error for anything else.
+Environment parse_environment(std::string_view name);
+
 }  // namespace wimi::rf

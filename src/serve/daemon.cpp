@@ -9,6 +9,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/binio.hpp"
 #include "common/error.hpp"
 #include "exec/parallel.hpp"
 #include "obs/json.hpp"
@@ -33,12 +34,9 @@ std::uint64_t peek_request_id(const std::vector<std::uint8_t>& record) {
     if (record.size() < wire::kWireHeaderBytes) {
         return 0;
     }
-    std::uint64_t id = 0;
-    for (int i = 7; i >= 0; --i) {
-        id = (id << 8) |
-             static_cast<std::uint64_t>(record[12 + static_cast<std::size_t>(i)]);
-    }
-    return id;
+    binio::ByteCursor header(record, "wire:");
+    header.take(12, "magic, version and type");
+    return header.get_u64();
 }
 
 void close_if_open(int& fd) {

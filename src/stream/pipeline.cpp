@@ -1,6 +1,8 @@
 #include "stream/pipeline.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/wimi.hpp"
@@ -24,11 +26,14 @@ StreamingPipeline::StreamingPipeline(
     : config_(config),
       extractor_(std::move(extractor)),
       classifier_(std::move(classifier)),
-      ring_(config.window),
-      planner_(config.window, config.hop),
       smoother_(config.smoothing) {
+    ensure(config_.window >= 1, "StreamingPipeline: window must be >= 1");
+    ensure(config_.hop <= config_.window,
+           "StreamingPipeline: hop must be <= window (windows must "
+           "overlap or tile; gaps would drop frames)");
     ensure(static_cast<bool>(classifier_),
            "StreamingPipeline: classifier must be callable");
+    window_.frames.resize(config_.window);
     if (psi_reference.has_value()) {
         gate_.emplace(std::move(*psi_reference), config_.psi);
     }
@@ -36,29 +41,56 @@ StreamingPipeline::StreamingPipeline(
 
 std::optional<WindowResult> StreamingPipeline::push(
     const csi::CsiFrame& frame) {
-    ring_.push(frame);
+    ensure(frame.antenna_count() >= 1 && frame.subcarrier_count() >= 1,
+           "StreamingPipeline::push: empty frame");
+    if (antennas_ == 0) {
+        antennas_ = frame.antenna_count();
+        subcarriers_ = frame.subcarrier_count();
+    } else if (frame.antenna_count() != antennas_ ||
+               frame.subcarrier_count() != subcarriers_) {
+        // Built only on failure: push() must not allocate per frame.
+        fail("StreamingPipeline::push: frame geometry " +
+             std::to_string(frame.antenna_count()) + "x" +
+             std::to_string(frame.subcarrier_count()) +
+             " does not match stream geometry " + std::to_string(antennas_) +
+             "x" + std::to_string(subcarriers_));
+    }
+    // Copy-assignment reuses the slot's payload buffer (same shape).
+    window_.frames[next_] = frame;
+    next_ = (next_ + 1) % config_.window;
+    ++frames_seen_;
     WIMI_OBS_COUNT("stream.frames", 1);
-    const std::optional<WindowPlan> plan = planner_.on_frame();
-    if (!plan.has_value()) {
+
+    if (frames_seen_ < config_.window) {
         return std::nullopt;
     }
-    return evaluate(*plan);
+    const std::uint64_t since_first = frames_seen_ - config_.window;
+    const bool due = config_.hop == 0 ? since_first == 0
+                                      : since_first % config_.hop == 0;
+    if (!due) {
+        return std::nullopt;
+    }
+    return evaluate();
 }
 
-WindowResult StreamingPipeline::evaluate(const WindowPlan& plan) {
+WindowResult StreamingPipeline::evaluate() {
     WIMI_TRACE_SPAN("stream.window");
     const auto started = std::chrono::steady_clock::now();
 
-    ring_.window_into(plan.frame_count, scratch_window_);
+    // The window is full, so slot next_ holds its oldest frame.
+    std::rotate(window_.frames.begin(),
+                window_.frames.begin() + static_cast<std::ptrdiff_t>(next_),
+                window_.frames.end());
+    next_ = 0;
 
     WindowResult result;
-    result.window_index = plan.window_index;
-    result.first_frame = plan.first_frame;
-    result.frame_count = plan.frame_count;
-    result.first_timestamp_s = scratch_window_.frames.front().timestamp_s;
-    result.last_timestamp_s = scratch_window_.frames.back().timestamp_s;
+    result.window_index = windows_emitted_++;
+    result.first_frame = frames_seen_ - config_.window;
+    result.frame_count = config_.window;
+    result.first_timestamp_s = window_.frames.front().timestamp_s;
+    result.last_timestamp_s = window_.frames.back().timestamp_s;
 
-    result.features = extractor_.extract(scratch_window_);
+    result.features = extractor_.extract(window_);
 
     auto [label, name] = classifier_(result.features);
     result.raw_label = label;
@@ -109,7 +141,8 @@ WindowResult StreamingPipeline::evaluate(const WindowPlan& plan) {
             ::wimi::obs::kv("label", result.stable_label),
             ::wimi::obs::kv("raw", result.raw_name));
     }
-    WIMI_OBS_GAUGE_SET("stream.ring.fill", static_cast<double>(ring_.size()));
+    WIMI_OBS_GAUGE_SET("stream.ring.fill",
+                       static_cast<double>(window_.frames.size()));
     if (result.psi_valid) {
         WIMI_OBS_GAUGE_SET("stream.psi", result.psi);
     }
@@ -124,8 +157,9 @@ WindowResult StreamingPipeline::evaluate(const WindowPlan& plan) {
 }
 
 void StreamingPipeline::reset() {
-    ring_.clear();
-    planner_.reset();
+    next_ = 0;
+    frames_seen_ = 0;
+    windows_emitted_ = 0;
     smoother_.reset();
     if (gate_.has_value()) {
         gate_->reset();

@@ -2,12 +2,15 @@
 //
 // Frames arrive one at a time (from a live capture, a TraceReader, or a
 // TraceTailer following a growing file); the pipeline holds the newest
-// `window` frames in a FrameRing, and on each WindowPlanner-scheduled
-// emission materializes the window, extracts the material feature vector
-// against the fixed baseline (WindowFeatureExtractor — bit-identical to
-// the batch path), classifies it, and folds the label through PSI drift
-// gating and decision smoothing. Memory is O(window) regardless of
-// stream length.
+// `window` frames in one fixed-size CsiSeries. The newest W frames are
+// scored every H arrivals: the first window is due once W frames have
+// been pushed and another each H frames after that, so window j covers
+// global frames [j*H, j*H + W); hop == 0 emits exactly one window, the
+// moment W frames exist. A due window is put oldest-first in place and
+// its material feature vector extracted against the fixed baseline
+// (WindowFeatureExtractor — bit-identical to the batch path), then
+// classified and folded through PSI drift gating and decision
+// smoothing. Memory is O(window) regardless of stream length.
 //
 // Parity contract: with window == trace length and hop == 0 the single
 // emitted window contains exactly the frames the batch pipeline sees, so
@@ -35,10 +38,8 @@
 
 #include "core/streaming_feature.hpp"
 #include "csi/frame.hpp"
-#include "csi/ring.hpp"
 #include "ml/drift.hpp"
 #include "stream/smoother.hpp"
-#include "stream/window.hpp"
 
 namespace wimi::core {
 class Wimi;
@@ -55,7 +56,7 @@ using Classifier =
 Classifier make_classifier(const core::Wimi& wimi);
 
 struct StreamConfig {
-    std::size_t window = 64;  ///< frames per evaluation (ring capacity)
+    std::size_t window = 64;  ///< frames per evaluation (>= 1)
     std::size_t hop = 16;     ///< frames between evaluations; 0 = once
     SmootherConfig smoothing;
     /// PSI pool settings; the gate only exists when a PsiReference is
@@ -86,7 +87,8 @@ struct WindowResult {
 class StreamingPipeline {
 public:
     /// `psi_reference` enables drift gating when provided; pass
-    /// std::nullopt to smooth every window unconditionally.
+    /// std::nullopt to smooth every window unconditionally. Throws
+    /// wimi::Error unless window >= 1 and hop <= window.
     StreamingPipeline(StreamConfig config,
                       core::WindowFeatureExtractor extractor,
                       Classifier classifier,
@@ -94,40 +96,46 @@ public:
                           std::nullopt);
 
     /// Feeds one frame; returns the evaluated window when this arrival
-    /// completes one per the window/hop schedule.
+    /// completes one per the window/hop schedule. The first frame ever
+    /// pushed fixes the antenna and subcarrier counts; a frame with zero
+    /// or different counts throws wimi::Error, also after reset().
     std::optional<WindowResult> push(const csi::CsiFrame& frame);
 
     const StreamConfig& config() const { return config_; }
-    std::uint64_t frames_consumed() const { return planner_.frames_seen(); }
-    std::uint64_t windows_emitted() const {
-        return planner_.windows_emitted();
-    }
+    std::uint64_t frames_consumed() const { return frames_seen_; }
+    std::uint64_t windows_emitted() const { return windows_emitted_; }
     std::uint64_t changes() const { return smoother_.changes(); }
     std::uint64_t drift_gated_windows() const { return drift_gated_; }
 
     /// Current stable label (-1 before the first smoothed window).
     int stable_label() const { return smoother_.stable_label(); }
 
-    const csi::FrameRing& ring() const { return ring_; }
     const core::WindowFeatureExtractor& extractor() const {
         return extractor_;
     }
 
-    /// Forgets all stream state (ring, schedule, smoother, PSI pool);
-    /// the baseline, classifier, and config survive.
+    /// Forgets all stream state (held frames, schedule, smoother, PSI
+    /// pool); the baseline, classifier, config and pinned frame counts
+    /// survive.
     void reset();
 
 private:
-    WindowResult evaluate(const WindowPlan& plan);
+    WindowResult evaluate();
 
     StreamConfig config_;
     core::WindowFeatureExtractor extractor_;
     Classifier classifier_;
-    csi::FrameRing ring_;
-    WindowPlanner planner_;
     DecisionSmoother smoother_;
     std::optional<ml::OnlinePsiGate> gate_;
-    csi::CsiSeries scratch_window_;  ///< reused across evaluations
+    /// `window` slots, each frame's buffer reused by copy-assignment.
+    /// Slot next_ takes the next arrival; once the window is full it is
+    /// the oldest frame, and evaluate() rotates it to the front.
+    csi::CsiSeries window_;
+    std::size_t next_ = 0;
+    std::size_t antennas_ = 0;  ///< pinned by the first frame pushed
+    std::size_t subcarriers_ = 0;
+    std::uint64_t frames_seen_ = 0;
+    std::uint64_t windows_emitted_ = 0;
     std::map<int, std::string> names_;  ///< label -> name memo
     std::uint64_t drift_gated_ = 0;
 };

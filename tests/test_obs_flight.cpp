@@ -22,6 +22,13 @@
 namespace wimi::obs {
 namespace {
 
+/// Default options but for the ring capacity.
+FlightRecorderOptions options_with_capacity(std::size_t capacity) {
+    FlightRecorderOptions options;
+    options.capacity = capacity;
+    return options;
+}
+
 FlightSample sample_with(std::uint64_t request_id,
                          FlightOutcome outcome = FlightOutcome::kOk) {
     FlightSample sample;
@@ -37,7 +44,7 @@ FlightSample sample_with(std::uint64_t request_id,
 }
 
 TEST(ObsFlight, AppendSnapshotRoundTrips) {
-    FlightRecorder recorder({.capacity = 8});
+    FlightRecorder recorder(options_with_capacity(8));
     ASSERT_TRUE(recorder.enabled());
     const std::uint32_t digest = recorder.intern_digest("cafef00d");
     for (std::uint64_t id = 1; id <= 3; ++id) {
@@ -62,7 +69,7 @@ TEST(ObsFlight, AppendSnapshotRoundTrips) {
 }
 
 TEST(ObsFlight, RingKeepsTheNewestRecords) {
-    FlightRecorder recorder({.capacity = 4});
+    FlightRecorder recorder(options_with_capacity(4));
     for (std::uint64_t id = 1; id <= 10; ++id) {
         recorder.append(sample_with(id));
     }
@@ -76,7 +83,7 @@ TEST(ObsFlight, RingKeepsTheNewestRecords) {
 }
 
 TEST(ObsFlight, ZeroCapacityDisablesEverything) {
-    FlightRecorder recorder({.capacity = 0});
+    FlightRecorder recorder(options_with_capacity(0));
     EXPECT_FALSE(recorder.enabled());
     EXPECT_EQ(recorder.intern_digest("cafef00d"), 0u);
     recorder.append(sample_with(1));
@@ -86,7 +93,7 @@ TEST(ObsFlight, ZeroCapacityDisablesEverything) {
 }
 
 TEST(ObsFlight, DigestInterningDeduplicates) {
-    FlightRecorder recorder({.capacity = 2});
+    FlightRecorder recorder(options_with_capacity(2));
     const std::uint32_t a = recorder.intern_digest("aaaa");
     const std::uint32_t b = recorder.intern_digest("bbbb");
     EXPECT_NE(a, 0u);
@@ -97,7 +104,7 @@ TEST(ObsFlight, DigestInterningDeduplicates) {
 }
 
 TEST(ObsFlight, DumpJsonIsValidFlightV1Jsonl) {
-    FlightRecorder recorder({.capacity = 8});
+    FlightRecorder recorder(options_with_capacity(8));
     const std::uint32_t digest = recorder.intern_digest("deadbeef");
     FlightSample ok = sample_with(1);
     ok.digest_index = digest;
@@ -164,7 +171,7 @@ TEST(ObsFlight, ConcurrentAppendsNeverProduceTornRecords) {
     // Each sample encodes request_id into every numeric field, so a
     // record mixing two writers is detectable. The seqlock must either
     // drop such slots or never produce them.
-    FlightRecorder recorder({.capacity = 64});
+    FlightRecorder recorder(options_with_capacity(64));
     constexpr int kThreads = 8;
     constexpr std::uint64_t kPerThread = 2000;
     std::vector<std::thread> writers;

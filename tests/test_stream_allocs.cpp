@@ -6,10 +6,15 @@
 // reuses one target buffer across windows; what extract() still
 // allocates per window is sized by the window length, never by the
 // window's content. So every window of a stream allocates the same
-// number of times, and that number is pinned here.
+// number of times, and that number is pinned here. The pipeline's own
+// window slots are reused too: a push that completes no window
+// allocates nothing once the slots have been filled.
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -19,6 +24,7 @@
 #include "csi/frame.hpp"
 #include "rf/material.hpp"
 #include "sim/scenario.hpp"
+#include "stream/pipeline.hpp"
 
 namespace {
 
@@ -142,6 +148,46 @@ TEST(StreamAllocations, EveryWindowMakesTheSamePinnedCount) {
         EXPECT_EQ(counts[w], counts.front()) << "window " << w;
         EXPECT_LE(counts[w], warm[w]) << "window " << w;
     }
+}
+
+TEST(StreamAllocations, PushesBetweenWindowsReuseTheWindowSlots) {
+    const sim::Scenario scenario(sim::ScenarioConfig{});
+    core::Wimi wimi;
+    wimi.calibrate(scenario.capture_reference(101));
+    csi::CaptureSimulator session = scenario.make_session(9);
+    const csi::CsiSeries baseline = session.capture(
+        scenario.scene(nullptr), scenario.config().packets);
+    const csi::CsiSeries stream =
+        session.capture(scenario.scene(nullptr), 4 * kWindow);
+
+    stream::StreamConfig config;
+    config.window = kWindow;
+    config.hop = kHop;
+    stream::StreamingPipeline pipeline(
+        config, core::make_window_extractor(wimi, baseline),
+        [](std::span<const double>) {
+            return std::pair<int, std::string>(0, "A");
+        });
+    const auto replay = [&] {
+        std::uint64_t between_windows = 0;
+        std::uint64_t windows = 0;
+        for (const csi::CsiFrame& frame : stream.frames) {
+            const std::uint64_t before = t_allocations;
+            if (pipeline.push(frame).has_value()) {
+                ++windows;
+            } else {
+                between_windows += t_allocations - before;
+            }
+        }
+        EXPECT_EQ(windows, (stream.packet_count() - kWindow) / kHop + 1);
+        return between_windows;
+    };
+
+    // The first pass sizes every slot's payload buffer; after reset()
+    // the same slots take the replayed frames by copy-assignment.
+    replay();
+    pipeline.reset();
+    EXPECT_EQ(replay(), 0u);
 }
 
 }  // namespace

@@ -68,6 +68,7 @@
 #include "obs/exporter.hpp"
 #include "obs/obs.hpp"
 #include "obs/run_context.hpp"
+#include "rf/environment.hpp"
 #include "serve/inference.hpp"
 #include "sim/harness.hpp"
 #include "sim/scenario.hpp"
@@ -215,15 +216,7 @@ int cmd_phase(const std::string& path, std::size_t subcarrier) {
 
 int cmd_generate(const std::string& path, const std::string& env_name) {
     sim::ScenarioConfig setup;
-    if (env_name == "hall") {
-        setup.environment = rf::Environment::kHall;
-    } else if (env_name == "library") {
-        setup.environment = rf::Environment::kLibrary;
-    } else if (env_name == "lab" || env_name.empty()) {
-        setup.environment = rf::Environment::kLab;
-    } else {
-        fail("unknown environment (use hall | lab | library)");
-    }
+    setup.environment = rf::parse_environment(env_name);
     const sim::Scenario scenario(setup);
     const auto series = scenario.capture_reference(12345, 200);
     csi::write_trace_file(path, series);
@@ -428,15 +421,7 @@ int cmd_pipeline_profile(const std::string& path,
 /// ExperimentConfig::psi_reference_path.
 int cmd_psi_ref(const std::string& out_path, const std::string& env_name) {
     sim::ExperimentConfig config;
-    if (env_name == "hall") {
-        config.scenario.environment = rf::Environment::kHall;
-    } else if (env_name == "library") {
-        config.scenario.environment = rf::Environment::kLibrary;
-    } else if (env_name == "lab" || env_name.empty()) {
-        config.scenario.environment = rf::Environment::kLab;
-    } else {
-        fail("unknown environment (use hall | lab | library)");
-    }
+    config.scenario.environment = rf::parse_environment(env_name);
     const core::Wimi wimi = sim::make_calibrated_wimi(config);
     const ml::Dataset data = sim::build_feature_dataset(config, wimi);
     const ml::PsiReference ref = ml::make_psi_reference(data);

@@ -61,23 +61,10 @@ struct Options {
     std::string run_out;
 };
 
-rf::Environment parse_environment(const std::string& name) {
-    if (name == "hall") {
-        return rf::Environment::kHall;
-    }
-    if (name == "library") {
-        return rf::Environment::kLibrary;
-    }
-    if (name == "lab") {
-        return rf::Environment::kLab;
-    }
-    fail("unknown environment (use hall | lab | library)");
-}
-
 sim::ExperimentConfig make_config(const Options& options,
                                   std::uint64_t seed) {
     sim::ExperimentConfig config;
-    config.scenario.environment = parse_environment(options.env);
+    config.scenario.environment = rf::parse_environment(options.env);
     config.repetitions = options.reps;
     config.seed = seed;
     config.threads = options.threads;
@@ -96,7 +83,7 @@ Options parse_options(int argc, char** argv, int first_flag) {
         const std::string value = argv[i + 1];
         if (flag == "--env") {
             options.env = value;
-            parse_environment(value);  // validate early
+            rf::parse_environment(value);  // validate early
         } else if (flag == "--reps") {
             options.reps = parse_uint_flag(flag, value, 1);
         } else if (flag == "--seed") {

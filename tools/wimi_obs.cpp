@@ -118,7 +118,9 @@ std::string format_log_line(const obs::json::Value& doc) {
         const obs::json::Value* v = doc.find(key);
         return v != nullptr && v->is_string() ? v->string : "";
     };
-    std::string out = "[" + member_string("level") + "] ";
+    std::string out = "[";
+    out += member_string("level");
+    out += "] ";
     if (const obs::json::Value* ts = doc.find("ts_us");
         ts != nullptr && ts->is_number()) {
         out += format_number(ts->num) + "us ";

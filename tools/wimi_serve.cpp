@@ -142,19 +142,6 @@ Options parse_options(int argc, char** argv, int first_flag) {
     return options;
 }
 
-rf::Environment parse_environment(const std::string& name) {
-    if (name == "hall") {
-        return rf::Environment::kHall;
-    }
-    if (name == "library") {
-        return rf::Environment::kLibrary;
-    }
-    if (name == "lab") {
-        return rf::Environment::kLab;
-    }
-    fail("unknown environment (use hall | lab | library)");
-}
-
 // SIGINT/SIGTERM funnel into the same drain path as a client shutdown
 // request: the handler only sets a flag (the one async-signal-safe
 // action); main polls it next to shutdown_requested(). A second signal
@@ -250,7 +237,7 @@ int cmd_predict(const Options& options) {
         obs::set_enabled(true);
     }
     sim::ScenarioConfig scenario_config;
-    scenario_config.environment = parse_environment(options.env);
+    scenario_config.environment = rf::parse_environment(options.env);
     const sim::Scenario scenario(scenario_config);
     const std::span<const rf::Liquid> liquids = rf::all_liquids();
 

@@ -1,7 +1,13 @@
 #include "serve/model_io.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -285,6 +291,38 @@ ml::MulticlassSvm decode_svm(ByteCursor cursor) {
 
 // --- writer -------------------------------------------------------------
 
+namespace {
+
+/// The temp file save_model_file() writes before renaming it over its
+/// target. Closes the descriptor and, unless `name` was cleared after
+/// the rename, removes the file, on every exit.
+struct TempFile {
+    std::string name;
+    int fd = -1;
+
+    TempFile() = default;
+    TempFile(const TempFile&) = delete;
+    TempFile& operator=(const TempFile&) = delete;
+    ~TempFile() {
+        if (fd >= 0) {
+            ::close(fd);
+        }
+        if (!name.empty()) {
+            ::unlink(name.c_str());
+        }
+    }
+};
+
+/// Throws the save_model_file error for `what` on `file`, with errno's
+/// text.
+[[noreturn]] void fail_save(const char* what, const std::string& file) {
+    const int code = errno;
+    fail(std::string("save_model_file: ") + what + " " + file + ": " +
+         std::strerror(code));
+}
+
+}  // namespace
+
 void save_model(std::ostream& stream, const TrainedModel& model) {
     model.validate();
 
@@ -324,13 +362,52 @@ void save_model(std::ostream& stream, const TrainedModel& model) {
 
 void save_model_file(const std::filesystem::path& path,
                      const TrainedModel& model) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ensure(out.is_open(),
-           "save_model_file: cannot open " + path.string());
-    save_model(out, model);
-    out.flush();
-    ensure(static_cast<bool>(out),
-           "save_model_file: write failure on " + path.string());
+    std::ostringstream buffer;
+    save_model(buffer, model);
+    const std::string bytes = buffer.str();
+
+    // Publish atomically: write a temp file beside `path`, make it
+    // durable, then rename it over `path`. A concurrent reader (a daemon
+    // swapping to this path) opens either the old file or the new one,
+    // never a half-written one.
+    static std::atomic<std::uint64_t> counter{0};
+    const std::string stem = path.string() + ".tmp." +
+                             std::to_string(::getpid()) + ".";
+    TempFile temp;
+    for (int attempt = 0; temp.fd < 0 && attempt < 16; ++attempt) {
+        temp.name = stem + std::to_string(counter.fetch_add(1));
+        temp.fd = ::open(temp.name.c_str(),
+                         O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+        if (temp.fd < 0 && errno != EEXIST) {
+            break;
+        }
+    }
+    if (temp.fd < 0) {
+        // The name is not ours to remove.
+        fail_save("cannot open", std::exchange(temp.name, {}));
+    }
+    for (std::size_t written = 0; written < bytes.size();) {
+        const ssize_t n = ::write(temp.fd, bytes.data() + written,
+                                  bytes.size() - written);
+        if (n < 0 && errno == EINTR) {
+            continue;
+        }
+        if (n <= 0) {
+            fail_save("write failure on", temp.name);
+        }
+        written += static_cast<std::size_t>(n);
+    }
+    if (::fsync(temp.fd) != 0) {
+        fail_save("fsync failure on", temp.name);
+    }
+    const int closed = ::close(std::exchange(temp.fd, -1));
+    if (closed != 0) {
+        fail_save("close failure on", temp.name);
+    }
+    if (::rename(temp.name.c_str(), path.c_str()) != 0) {
+        fail_save("cannot rename over", path.string());
+    }
+    temp.name.clear();
 }
 
 // --- reader -------------------------------------------------------------

@@ -94,7 +94,12 @@ struct ModelInfo {
 /// model (validate() fails) or stream failure.
 void save_model(std::ostream& stream, const TrainedModel& model);
 
-/// Writes `model` to `path`, overwriting any existing file.
+/// Writes `model` to `path`, replacing any existing file atomically: the
+/// bytes go to a temp file in the same directory, which is fsync'd and
+/// renamed over `path`, so a concurrent load_model_file() sees the old
+/// model or the new one, never a torn file. Throws wimi::Error (message
+/// prefixed `save_model_file:`) on failure, leaving `path` untouched
+/// and no temp file behind.
 void save_model_file(const std::filesystem::path& path,
                      const TrainedModel& model);
 

@@ -141,8 +141,6 @@ WindowResult StreamingPipeline::evaluate() {
             ::wimi::obs::kv("label", result.stable_label),
             ::wimi::obs::kv("raw", result.raw_name));
     }
-    WIMI_OBS_GAUGE_SET("stream.ring.fill",
-                       static_cast<double>(window_.frames.size()));
     if (result.psi_valid) {
         WIMI_OBS_GAUGE_SET("stream.psi", result.psi);
     }

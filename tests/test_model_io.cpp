@@ -11,12 +11,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/crc32.hpp"
@@ -370,6 +372,86 @@ TEST(ModelIo, RestoreRejectsNonFiniteState) {
                                {std::numeric_limits<double>::infinity()},
                                0.0),
         Error);
+}
+
+/// save_model_file publishes by rename, so a reader racing a writer on
+/// one path always loads a whole model: the old one or the new one. An
+/// in-place truncate-and-write lets the reader see an empty or partial
+/// file (`load_model: truncated header`, a CRC mismatch).
+TEST(ModelIo, ConcurrentSaveAndLoadNeverSeesTornFile) {
+    const TrainedModel model_a = make_test_model();
+    TrainedModel model_b = make_test_model();
+    model_b.class_names = {"Water", "Vinegar", "Juice"};
+
+    const auto dir = testutil::scratch_dir();
+    const auto path = dir / "wimi_model_io_swap.wmdl";
+    save_model_file(dir / "wimi_model_io_swap_b.wmdl", model_b);
+    const std::string digest_b =
+        model_file_digest(dir / "wimi_model_io_swap_b.wmdl");
+    save_model_file(path, model_a);
+    const std::string digest_a = model_file_digest(path);
+    ASSERT_NE(digest_a, digest_b);
+
+    std::atomic<bool> done{false};
+    std::size_t loads = 0;
+    std::vector<std::string> failures;
+    {
+        std::jthread reader([&] {
+            while (!done.load()) {
+                try {
+                    ModelInfo info;
+                    load_model_file(path, &info);
+                    if (info.digest != digest_a && info.digest != digest_b) {
+                        failures.push_back("unknown digest " + info.digest);
+                    }
+                } catch (const Error& e) {
+                    failures.push_back(e.what());
+                }
+                ++loads;
+            }
+        });
+        for (int i = 0; i < 200; ++i) {
+            save_model_file(path, i % 2 == 0 ? model_b : model_a);
+        }
+        done.store(true);
+    }
+    EXPECT_GT(loads, 0u);
+    EXPECT_TRUE(failures.empty())
+        << failures.size() << " of " << loads
+        << " loads failed; first: " << failures.front();
+
+    std::filesystem::remove(path);
+    std::filesystem::remove(dir / "wimi_model_io_swap_b.wmdl");
+    // Only the two models remain in the directory: no temp file leaked.
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename().string().find(
+                      "wimi_model_io_swap"),
+                  std::string::npos)
+            << entry.path();
+    }
+}
+
+/// A failed publish (here the rename: the target is a directory) throws
+/// with the save_model_file prefix and removes its temp file.
+TEST(ModelIo, FailedSaveThrowsAndLeavesNoTempFile) {
+    const auto dir = testutil::scratch_dir();
+    const auto target = dir / "wimi_model_io_target_is_dir";
+    std::filesystem::create_directory(target);
+    try {
+        save_model_file(target, make_test_model());
+        FAIL() << "expected save_model_file to throw";
+    } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("save_model_file:", 0), 0u)
+            << e.what();
+    }
+    EXPECT_TRUE(std::filesystem::is_directory(target));
+    std::filesystem::remove(target);
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        EXPECT_EQ(entry.path().filename().string().find(
+                      "wimi_model_io_target_is_dir"),
+                  std::string::npos)
+            << entry.path();
+    }
 }
 
 TEST(ModelIo, MissingFileThrows) {
